@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -58,6 +59,13 @@ _DEFAULTS = {
     "out": None,
     "config": None,
 }
+
+#: Smallest valid value of each count option.
+_COUNT_MIN = {"grid": 2, "nterms": 1, "gsteps": 2, "levels": 1, "nmax": 1, "cutoff": 1}
+
+
+class UsageError(ValueError):
+    """An option value no command can run with (exit code 2)."""
 
 
 def _fmt(value) -> str:
@@ -360,16 +368,45 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject count options, from flags or config, that no command can use."""
+    for key, low in _COUNT_MIN.items():
+        value = getattr(args, key, low)
+        if type(value) is not int or value < low:
+            raise UsageError(f"--{key} must be an integer >= {low} (got {value!r})")
+    # oracle lists --levels levels of both parities; compare asks the
+    # oracle for 2 * levels + 4 of them.
+    if args.subcommand not in ("oracle", "compare"):
+        return
+    high = 2 * (args.cutoff + 1) if args.subcommand == "oracle" else args.cutoff - 1
+    if args.levels > high:
+        raise UsageError(f"--levels must be <= {high} at --cutoff {args.cutoff} "
+                         f"for {args.subcommand} (got {args.levels})")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Turn ``--opt -1e-05`` into ``--opt=-1e-05``: argparse reads a token
+    starting with '-' as an option unless it is a number in fixed-point form."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         args = _apply_config(args)
+        _check_counts(args)
         return args.func(args)
     except DomainError as exc:
         print(f"starkspec: domain error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"starkspec: {exc}", file=sys.stderr)
         return 2
 

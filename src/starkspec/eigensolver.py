@@ -1,135 +1,118 @@
-"""Symmetric eigenvalues without external linear-algebra routines.
+"""Lowest eigenvalues of symmetric tridiagonal chains, without external routines.
 
-Householder reduction to tridiagonal form followed by Sturm-count bisection
-for the lowest eigenvalues.  Bisection is unconditionally convergent and
-vectorizes over the requested eigenvalue indices, which keeps pure
-Python/numpy fast enough for the matrix sizes used here (a few hundred up
-to ~1500 rows).
+Sturm-count multisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967);
+LAPACK ``dstebz``): every requested eigenvalue keeps a bracket whose Sturm
+counts pin its index, and each pass cuts every bracket at a fixed number of
+interior shifts.  All chains of a call share one row loop, so its Python
+overhead is paid once per pass for the whole stack rather than once per
+chain and bisection step.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "householder_tridiagonalize",
     "tridiagonal_lowest_eigenvalues",
-    "lowest_eigenvalues",
 ]
+
+#: Interior shifts per bracket and pass; each pass narrows a bracket 8-fold.
+_SHIFTS = 7
+
+#: Rows of the Sturm recurrence held in memory at once.
+_ROW_BLOCK = 128
+
+#: Passes after which a bracket that has not contracted is an error.
+_MAX_PASSES = 64
 
 
 class ConvergenceError(RuntimeError):
     """The eigenvalue iteration failed to converge."""
 
 
-def householder_tridiagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a real symmetric matrix to tridiagonal form (d, e).
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues strictly below each shift, for every chain of the stack.
 
-    Classic symmetric Householder reduction; the orthogonal transform is not
-    accumulated since only eigenvalues are needed downstream.
+    ``d`` is (rows, chains, 1), ``e2`` is (rows - 1, chains, 1) with every
+    entry > 0, ``shifts`` is (chains, n).  With no zero in ``e2`` the IEEE
+    recurrence needs no pivot guard: a zero pivot turns into an infinity
+    whose reciprocal is zero one row later, and no NaN can arise.
     """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return np.empty(0), np.empty(0)
-    e = np.zeros(n - 1) if n > 1 else np.empty(0)
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        if np.all(x[1:] == 0.0):
-            e[k] = x[0]
-            continue
-        sigma = np.sqrt(np.dot(x, x))
-        if x[0] < 0.0:
-            sigma = -sigma
-        u = x.copy()
-        u[0] += sigma
-        h = 0.5 * np.dot(u, u)
-        sub = a[k + 1:, k + 1:]
-        p = sub @ u / h
-        q = p - (np.dot(u, p) / (2.0 * h)) * u
-        sub -= np.outer(q, u) + np.outer(u, q)
-        e[k] = -sigma
-    if n > 1:
-        e[n - 2] = a[n - 1, n - 2]
-    return np.diagonal(a).copy(), e
-
-
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray, pivmin: float) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (vectorized)."""
-    q = d[0] - shifts
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, d.size):
-        small = np.abs(q) < pivmin
-        q = np.where(small, np.where(q < 0.0, -pivmin, pivmin), q)
-        q = d[i] - shifts - e2[i - 1] / q
-        count += q < 0.0
+    count = np.zeros(shifts.shape, dtype=np.int64)
+    tmp = np.empty(shifts.shape)
+    prev = None
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, d.shape[0], _ROW_BLOCK):
+            q = d[start:start + _ROW_BLOCK] - shifts
+            for i in range(q.shape[0]):
+                if prev is not None:
+                    np.divide(e2[start + i - 1], prev, out=tmp)
+                    np.subtract(q[i], tmp, out=q[i])
+                prev = q[i]
+            count += np.count_nonzero(q < 0.0, axis=0)
     return count
 
 
 def tridiagonal_lowest_eigenvalues(
-    d: np.ndarray, e: np.ndarray, count: int, max_iter: int = 120
-) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of a symmetric tridiagonal matrix.
+    d: Sequence[np.ndarray], e: Sequence[np.ndarray], count: Sequence[int]
+) -> list[np.ndarray]:
+    """Lowest ``count[c]`` eigenvalues of each symmetric tridiagonal chain c.
 
-    Sturm-sequence bisection: the k-th eigenvalue is pinched between shifts
-    whose negcount brackets k.  Converges to a few ulps of the Gershgorin
-    span regardless of clustering.
+    Chain c has diagonal ``d[c]`` and off-diagonal ``e[c]``; the chains may
+    differ in length.  The shorter ones are padded with decoupled rows that
+    sit above every shift, so they add nothing to any Sturm count, and the
+    whole stack is solved in one lockstep multisection.  Each eigenvalue is
+    returned to a few ulps of its chain's Gershgorin span, regardless of
+    clustering.
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = d.size
-    if count < 1 or count > n:
-        raise ValueError(f"count must be in 1..{n} (got {count})")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ConvergenceError("non-finite entries in tridiagonal matrix")
-    e2 = e * e
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(e)
-        radius[1:] += np.abs(e)
-    glo = float(np.min(d - radius))
-    ghi = float(np.max(d + radius))
-    span = max(ghi - glo, 1e-30)
-    pivmin = max(np.max(e2, initial=0.0), 1.0) * np.finfo(float).eps ** 2
+    d = [np.asarray(dc, dtype=float) for dc in d]
+    e = [np.asarray(ec, dtype=float) for ec in e]
+    count = [int(k) for k in count]
+    for dc, ec, k in zip(d, e, count, strict=True):
+        if ec.size != dc.size - 1:
+            raise ValueError(f"off-diagonal of {ec.size} for a chain of {dc.size}")
+        if not 1 <= k <= dc.size:
+            raise ValueError(f"count must be in 1..{dc.size} (got {k})")
+        if not (np.all(np.isfinite(dc)) and np.all(np.isfinite(ec))):
+            raise ConvergenceError("non-finite entries in tridiagonal matrix")
 
-    lo = np.full(count, glo)
-    hi = np.full(count, ghi)
-    ks = np.arange(1, count + 1)
-    tol = 4.0 * np.finfo(float).eps * max(abs(glo), abs(ghi)) + 1e-15
-    for _ in range(max_iter):
-        width = hi - lo
-        if np.all(width <= tol):
+    radius = [np.abs(np.r_[0.0, ec]) + np.abs(np.r_[ec, 0.0]) for ec in e]
+    glo = np.array([np.min(dc - r) for dc, r in zip(d, radius)])
+    ghi = np.array([np.max(dc + r) for dc, r in zip(d, radius)])
+    tiny = np.finfo(float).tiny
+    rows = max(dc.size for dc in d)
+    stack_d = np.full((rows, len(d), 1), ghi.max() + abs(ghi.max()) + 1.0)
+    stack_e2 = np.full((rows - 1, len(d), 1), tiny)
+    for c, (dc, ec) in enumerate(zip(d, e)):
+        stack_d[:dc.size, c, 0] = dc
+        stack_e2[:ec.size, c, 0] = np.maximum(ec * ec, tiny)
+
+    # Brackets are (chains, kmax); a chain asking for fewer levels carries
+    # spare brackets that are solved alongside and dropped at the end.
+    kmax = max(count)
+    ks = np.arange(1, kmax + 1)
+    lo = np.repeat(glo[:, None], kmax, axis=1)
+    hi = np.repeat(ghi[:, None], kmax, axis=1)
+    tol = (4.0 * np.finfo(float).eps * np.maximum(np.abs(glo), np.abs(ghi)) + 1e-15)[:, None]
+    cuts = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+    for _ in range(_MAX_PASSES):
+        if np.all(hi - lo <= tol):
             break
-        mid = 0.5 * (lo + hi)
-        c = _sturm_counts(d, e2, mid, pivmin)
-        below = c >= ks
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.all(0.5 * (lo + hi) == mid):
+        shifts = lo[..., None] + (hi - lo)[..., None] * cuts
+        counts = _sturm_counts(stack_d, stack_e2, shifts.reshape(len(d), -1))
+        # The shifts whose count stays below k are a prefix of the grid
+        # lo, shifts..., hi; the new bracket is the step out of that prefix.
+        below = np.count_nonzero(counts.reshape(shifts.shape) < ks[:, None], axis=-1)
+        grid = np.concatenate([lo[..., None], shifts, hi[..., None]], axis=-1)
+        new_lo = np.take_along_axis(grid, below[..., None], axis=-1)[..., 0]
+        new_hi = np.take_along_axis(grid, below[..., None] + 1, axis=-1)[..., 0]
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
+        lo, hi = new_lo, new_hi
     else:
-        if np.any(hi - lo > 1e3 * tol * span):
-            raise ConvergenceError("bisection interval failed to contract")
-    return 0.5 * (lo + hi)
-
-
-def _is_tridiagonal(matrix: np.ndarray) -> bool:
-    n = matrix.shape[0]
-    if n <= 2:
-        return True
-    mask = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) > 1
-    return not np.any(matrix[mask])
-
-
-def lowest_eigenvalues(matrix: np.ndarray, count: int) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of a dense real symmetric matrix."""
-    a = np.asarray(matrix, dtype=float)
-    if _is_tridiagonal(a):
-        d = np.diagonal(a).copy()
-        e = np.diagonal(a, 1).copy()
-    else:
-        d, e = householder_tridiagonalize(a)
-    return tridiagonal_lowest_eigenvalues(d, e, count)
+        raise ConvergenceError("multisection brackets failed to contract")
+    mid = 0.5 * (lo + hi)
+    return [mid[c, :k].copy() for c, k in enumerate(count)]

@@ -2,10 +2,11 @@
 
 Builds the Hamiltonian of :mod:`starkspec.model` in the product basis
 |n, s> (photon number n = 0..cutoff, spin s = up/down along sigma_z) and
-diagonalizes it with the in-repo symmetric eigensolver.  The Hamiltonian
-commutes exactly with the parity operator P = (-1)^(a^dag a) sigma_z, so in
-parity-sorted order it is block diagonal with two tridiagonal blocks; each
-eigenvalue inherits the exact parity of its block.
+diagonalizes it with the in-repo tridiagonal eigensolver.  The Hamiltonian
+commutes exactly with the parity operator P = (-1)^(a^dag a) sigma_z and
+splits into two parity chains, each tridiagonal in ascending photon number;
+they are built in closed form, never as a dense matrix, and each eigenvalue
+inherits the exact parity of its chain.
 
 This path shares no code with the series engine (different frame, different
 algorithms), which is what makes the agreement of the two spectra a real
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import ConvergenceError, lowest_eigenvalues
+from .eigensolver import ConvergenceError, tridiagonal_lowest_eigenvalues
 from .model import ModelParams
 
 __all__ = [
@@ -40,26 +41,19 @@ CONVERGENCE_TOL = 1e-8
 
 @dataclass
 class FockHamiltonian:
-    """Dense symmetric matrix in the interleaved basis index 2n + s.
+    """The two parity chains of H at a photon cutoff, as (d, e) rows.
 
-    s = 0 is spin up (sigma_z = +1), s = 1 spin down.  Diagonal entries are
-    n(1 + gamma) + delta and n(1 - gamma) - delta; the Rabi term couples
-    |n, up> with |n+1, down> and |n, down> with |n+1, up>, both with
-    element g*sqrt(n+1).
+    Row 0 is the PLUS chain |0 up>, |1 dn>, |2 up>, ..., row 1 the MINUS
+    chain |0 dn>, |1 up>, |2 dn>, ...; both run over n = 0..cutoff.  ``d``
+    (2 x (cutoff+1)) alternates between n(1 + gamma) + delta (spin up) and
+    n(1 - gamma) - delta (spin down); ``e`` (2 x cutoff) holds the Rabi
+    element g*sqrt(n+1) between photon numbers n and n+1.
     """
 
     cutoff: int
-    matrix: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
     params: ModelParams
-
-    def parity_vector(self) -> np.ndarray:
-        """Diagonal of the parity operator, (-1)^n * (+1 up / -1 down)."""
-        n = np.arange(self.cutoff + 1)
-        signs = np.where(n % 2 == 0, 1, -1)
-        out = np.empty(2 * (self.cutoff + 1), dtype=int)
-        out[0::2] = signs
-        out[1::2] = -signs
-        return out
 
 
 @dataclass
@@ -76,25 +70,16 @@ class OracleSpectrum:
 
 
 def build_hamiltonian(params: ModelParams, cutoff: int) -> FockHamiltonian:
-    """Assemble the dense Hamiltonian matrix at the given photon cutoff."""
+    """Assemble both parity chains at the given photon cutoff."""
     if cutoff < 1:
         raise ValueError(f"cutoff >= 1 required (got {cutoff})")
     n = np.arange(cutoff + 1, dtype=float)
-    dim = 2 * (cutoff + 1)
-    h = np.zeros((dim, dim))
-    h[2 * np.arange(cutoff + 1), 2 * np.arange(cutoff + 1)] = (
-        n * (1.0 + params.gamma) + params.delta
-    )
-    h[2 * np.arange(cutoff + 1) + 1, 2 * np.arange(cutoff + 1) + 1] = (
-        n * (1.0 - params.gamma) - params.delta
-    )
-    hop = params.g * np.sqrt(n[1:])
-    for m in range(cutoff):
-        i_up, i_dn = 2 * m, 2 * m + 1
-        j_up, j_dn = 2 * (m + 1), 2 * (m + 1) + 1
-        h[i_up, j_dn] = h[j_dn, i_up] = hop[m]
-        h[i_dn, j_up] = h[j_up, i_dn] = hop[m]
-    return FockHamiltonian(cutoff=cutoff, matrix=h, params=params)
+    up = n * (1.0 + params.gamma) + params.delta
+    down = n * (1.0 - params.gamma) - params.delta
+    even = np.arange(cutoff + 1) % 2 == 0
+    d = np.stack([np.where(even, up, down), np.where(even, down, up)])
+    e = np.tile(params.g * np.sqrt(n[1:]), (2, 1))
+    return FockHamiltonian(cutoff=cutoff, d=d, e=e, params=params)
 
 
 def diagonalize(
@@ -102,40 +87,34 @@ def diagonalize(
 ) -> OracleSpectrum:
     """Lowest ``want`` eigenvalues with parity labels.
 
-    The matrix is split into its two exact parity blocks (the off-block
-    entries are identically zero by construction and verified here); each
-    block, tridiagonal in ascending photon number, goes through the in-repo
-    eigensolver.  Parity labels are exact: every eigenvector of a block is a
-    parity eigenstate with <P> = +/-1, which is also how parity would be
-    assigned inside any degenerate subspace.
+    Both parity chains, and with ``check_convergence`` both chains again at
+    cutoff + 25, go through one call of the eigensolver.  Parity labels are
+    exact: every eigenvector of a chain is a parity eigenstate with
+    <P> = +/-1, which is also how parity would be assigned inside any
+    degenerate subspace.
 
     Raises:
         ConvergenceError: propagated from the eigensolver.
-        ValueError: if the matrix violates the parity block structure.
     """
-    dim = h.matrix.shape[0]
+    dim = 2 * (h.cutoff + 1)
     if not 1 <= want <= dim:
         raise ValueError(f"want must be in 1..{dim} (got {want})")
-    parities = h.parity_vector()
-    merged: list[tuple[float, int]] = []
-    for sign in (1, -1):
-        idx = np.where(parities == sign)[0]
-        other = np.where(parities == -sign)[0]
-        if np.any(h.matrix[np.ix_(idx, other)]):
-            raise ValueError("off-block parity entries are nonzero; matrix is corrupt")
-        block = h.matrix[np.ix_(idx, idx)]
-        k = min(want, idx.size)
-        for energy in lowest_eigenvalues(block, k):
-            merged.append((float(energy), sign))
-    merged.sort(key=lambda item: (item[0], -item[1]))
-    merged = merged[:want]
-    energies = np.array([m[0] for m in merged])
-    labels = np.array([m[1] for m in merged], dtype=int)
+    hams = [h]
+    if check_convergence:
+        hams.append(build_hamiltonian(h.params, h.cutoff + CONVERGENCE_STEP))
+    d = [chain for ham in hams for chain in ham.d]
+    e = [chain for ham in hams for chain in ham.e]
+    levels = tridiagonal_lowest_eigenvalues(d, e, [min(want, chain.size) for chain in d])
+    merged = []
+    for plus, minus in zip(levels[0::2], levels[1::2]):
+        energies = np.concatenate([plus, minus])
+        labels = np.repeat([1, -1], [plus.size, minus.size])
+        order = np.lexsort((-labels, energies))[:want]  # ties list PLUS first
+        merged.append((energies[order], labels[order]))
+    energies, labels = merged[0]
 
     converged = 0
     if check_convergence:
-        h2 = build_hamiltonian(h.params, h.cutoff + CONVERGENCE_STEP)
-        ref = diagonalize(h2, want, check_convergence=False)
-        stable = np.abs(energies - ref.energies) <= CONVERGENCE_TOL
+        stable = np.abs(energies - merged[1][0]) <= CONVERGENCE_TOL
         converged = int(np.argmin(stable)) if not np.all(stable) else want
     return OracleSpectrum(energies=energies, parities=labels, converged_count=converged)

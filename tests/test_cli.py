@@ -134,3 +134,41 @@ class TestSpectrumJson:
         assert payload[0]["g"] == 0.0
         assert len(payload[0]["levels"]) == 4
         assert {"level_index", "parity", "energy", "resolved"} <= set(payload[0]["levels"][0])
+
+
+class TestInvalidCounts:
+    """An invalid count exits 2 with one line, from a flag or from --config."""
+
+    @staticmethod
+    def assert_usage_error(tmp_path, subcommand, key, value, *rest):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        for source in (("--" + key, str(value)), ("--config", str(config))):
+            res = run_cli(subcommand, *source, *rest)
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert len(res.stderr.strip().splitlines()) == 1
+            assert f"--{key}" in res.stderr and "Traceback" not in res.stderr
+
+    def test_spectrum_gsteps_one(self, tmp_path):
+        self.assert_usage_error(tmp_path, "spectrum", "gsteps", 1)
+
+    def test_oracle_levels_zero(self, tmp_path):
+        self.assert_usage_error(tmp_path, "oracle", "levels", 0)
+
+    def test_compare_levels_zero(self, tmp_path):
+        self.assert_usage_error(tmp_path, "compare", "levels", 0)
+
+    def test_oracle_levels_above_basis(self, tmp_path):
+        self.assert_usage_error(tmp_path, "oracle", "levels", 23, "--cutoff", "10")
+
+
+class TestNegativeExponentValue:
+    def test_gamma_in_exponent_form(self, tmp_path):
+        out = tmp_path / "s.csv"
+        res = run_cli("spectrum", "--delta", "0.4", "--gamma", "-1e-05",
+                      "--gmin", "0", "--gmax", "0.2", "--gsteps", "2",
+                      "--levels", "2", "--out", str(out))
+        assert res.returncode == 0
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert meta["params"]["gamma"] == -1e-05

@@ -7,41 +7,64 @@ from starkspec.model import ParitySector, g0_levels, validate_params
 PLUS = ParitySector.PLUS
 
 
+def dense_interleaved(p, cutoff):
+    """H in the basis index 2n + s (s = 0 up, 1 down), built row by row."""
+    n = np.arange(cutoff + 1, dtype=float)
+    h = np.zeros((2 * (cutoff + 1), 2 * (cutoff + 1)))
+    h[2 * np.arange(cutoff + 1), 2 * np.arange(cutoff + 1)] = n * (1.0 + p.gamma) + p.delta
+    h[2 * np.arange(cutoff + 1) + 1, 2 * np.arange(cutoff + 1) + 1] = (
+        n * (1.0 - p.gamma) - p.delta)
+    hop = p.g * np.sqrt(n[1:])
+    for m in range(cutoff):
+        i_up, i_dn = 2 * m, 2 * m + 1
+        j_up, j_dn = 2 * (m + 1), 2 * (m + 1) + 1
+        h[i_up, j_dn] = h[j_dn, i_up] = hop[m]
+        h[i_dn, j_up] = h[j_up, i_dn] = hop[m]
+    parity = np.tile([1.0, -1.0], cutoff + 1) * np.repeat((-1.0) ** n, 2)
+    return h, parity
+
+
 class TestBuildHamiltonian:
     def test_cutoff_one_matrix_by_hand(self):
-        # basis order |0 up>, |0 dn>, |1 up>, |1 dn>
+        # basis order |0 up>, |0 dn>, |1 up>, |1 dn>; the PLUS chain is
+        # |0 up>, |1 dn> and the MINUS chain |0 dn>, |1 up>
         delta, gamma, g = 0.4, 0.5, 0.3
         p = validate_params(delta, gamma, g)
-        h = build_hamiltonian(p, 1).matrix
+        ham = build_hamiltonian(p, 1)
         expected = np.array([
             [delta, 0.0, 0.0, g],
             [0.0, -delta, g, 0.0],
             [0.0, g, 1.0 + gamma + delta, 0.0],
             [g, 0.0, 0.0, 1.0 - gamma - delta],
         ])
-        assert h == pytest.approx(expected, abs=0)
+        for row, (a, b) in enumerate(((0, 3), (1, 2))):
+            assert ham.d[row] == pytest.approx([expected[a, a], expected[b, b]], abs=0)
+            assert ham.e[row] == pytest.approx([expected[a, b]], abs=0)
 
-    def test_symmetric(self):
-        p = validate_params(0.7, -0.3, 1.1)
-        h = build_hamiltonian(p, 40).matrix
-        assert np.max(np.abs(h - h.T)) == 0.0
-
-    def test_commutes_with_parity(self):
-        p = validate_params(0.7, 0.3, 0.9)
-        ham = build_hamiltonian(p, 30)
-        pv = ham.parity_vector().astype(float)
-        h = ham.matrix
-        comm = h * pv[None, :] - pv[:, None] * h
-        assert np.max(np.abs(comm)) == 0.0
-
-    def test_parity_reorder_block_diagonal(self):
-        p = validate_params(0.4, 0.5, 0.8)
-        ham = build_hamiltonian(p, 25)
-        pv = ham.parity_vector()
-        plus = np.where(pv == 1)[0]
-        minus = np.where(pv == -1)[0]
-        off = ham.matrix[np.ix_(plus, minus)]
-        assert np.count_nonzero(off) == 0
+    @pytest.mark.parametrize("delta, gamma, g, cutoff, want", [
+        (0.4, 0.5, 0.3, 1, 4),
+        (0.7, -0.3, 1.1, 40, 30),
+        (0.0, 0.6, 0.5, 30, 20),
+        (0.4, -0.9, 0.5, 25, 52),
+        (1.3, 0.2, 0.05, 12, 9),
+    ])
+    def test_against_dense_reference(self, delta, gamma, g, cutoff, want):
+        p = validate_params(delta, gamma, g)
+        h, parity = dense_interleaved(p, cutoff)
+        # numpy only used as an independent reference inside tests
+        ref_e, vectors = np.linalg.eigh(h)
+        ref_p = np.einsum("i,ij,ij->j", parity, vectors, vectors)[:want]
+        assert np.min(np.diff(ref_e[:want + 1])) > 1e-6  # <P> needs no degeneracy
+        assert np.max(np.abs(np.abs(ref_p) - 1.0)) < 1e-9
+        ham = build_hamiltonian(p, cutoff)
+        for row, sign in enumerate((1, -1)):
+            block = h[np.ix_(parity == sign, parity == sign)]
+            assert np.array_equal(np.diag(block), ham.d[row])
+            assert np.array_equal(np.diag(block, 1), ham.e[row])
+            assert not np.any(h[np.ix_(parity == sign, parity == -sign)])
+        spectrum = diagonalize(ham, want)
+        assert np.max(np.abs(spectrum.energies - ref_e[:want])) < 1e-11
+        assert list(spectrum.parities) == list(np.rint(ref_p).astype(int))
 
     def test_cutoff_validation(self):
         p = validate_params(0.4, 0.5, 0.4)
