@@ -33,9 +33,9 @@ from .solver import (
     PoleCollision,
     classify_exceptional,
     detect_crossings,
-    find_regular_zeros,
     spectrum_sweep,
     _column_window,
+    _find_zeros_batch,
 )
 
 _DEFAULTS = {
@@ -250,23 +250,23 @@ def cmd_compare(args) -> int:
     n_terms = max(2 * args.nterms if args.strict else args.nterms, 48)
     h = build_hamiltonian(params, args.cutoff)
     spectrum = diagonalize(h, 2 * args.levels + 4)
+    oracles = [[float(e) for e, p in zip(spectrum.energies, spectrum.parities)
+                if p == parity][: args.levels] for parity in (1, -1)]
+    if args.g < SERIES_MIN_G:
+        levels = g0_levels(params, 4 * args.levels + 8)
+        found = [[(lv.energy, True) for lv in levels if lv.parity == parity] for parity in (1, -1)]
+    else:
+        _, e_lo, e_hi, spacing = _column_window(
+            args.delta, args.gamma, args.g, 2 * args.levels + 4)
+        tops = [max(e_hi, oracle[-1] + 0.5) for oracle in oracles]
+        found = _find_zeros_batch(
+            [(params, _sector_of(parity), e_lo, top, max(64, int((top - e_lo) / spacing) + 2))
+             for parity, top in zip((1, -1), tops)], n_terms=n_terms)
     rows = []
     worst = 0.0
     missing = False
-    for parity in (1, -1):
-        oracle = [float(e) for e, p in zip(spectrum.energies, spectrum.parities)
-                  if p == parity][: args.levels]
-        if args.g < SERIES_MIN_G:
-            levels = g0_levels(params, 4 * args.levels + 8)
-            series = [lv.energy for lv in levels if lv.parity == parity][: args.levels]
-        else:
-            _, e_lo, e_hi, spacing = _column_window(
-                args.delta, args.gamma, args.g, 2 * args.levels + 4)
-            e_hi = max(e_hi, oracle[-1] + 0.5)
-            grid = max(64, int((e_hi - e_lo) / spacing) + 2)
-            zeros = find_regular_zeros(
-                params, _sector_of(parity), e_lo, e_hi, grid, n_terms=n_terms)
-            series = [e for e, resolved in zeros if resolved][: args.levels]
+    for parity, oracle, zeros in zip((1, -1), oracles, found):
+        series = [e for e, resolved in zeros if resolved][: args.levels]
         for i in range(args.levels):
             if i < len(series) and i < len(oracle):
                 diff = abs(series[i] - oracle[i])
@@ -359,7 +359,7 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
-            raise DomainError("config file must hold a single JSON object")
+            raise UsageError("config file must hold a single JSON object")
     for key, fallback in _DEFAULTS.items():
         if not hasattr(args, key):
             continue
@@ -368,12 +368,20 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _check_counts(args: argparse.Namespace) -> None:
-    """Reject count options, from flags or config, that no command can use."""
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject option values, from flags or config, that no command can use."""
+    for key, default in _DEFAULTS.items():
+        value = getattr(args, key, default)
+        if type(default) is float and type(value) not in (int, float):
+            raise UsageError(f"--{key.replace('_', '-')} must be a number (got {value!r})")
     for key, low in _COUNT_MIN.items():
         value = getattr(args, key, low)
         if type(value) is not int or value < low:
             raise UsageError(f"--{key} must be an integer >= {low} (got {value!r})")
+    for lo, hi in (("gmin", "gmax"), ("xmin", "xmax")):
+        if hasattr(args, lo) and not getattr(args, lo) < getattr(args, hi):
+            raise UsageError(f"--{lo} must be below --{hi} (got {getattr(args, lo)!r}, "
+                             f"{getattr(args, hi)!r})")
     # oracle lists --levels levels of both parities; compare asks the
     # oracle for 2 * levels + 4 of them.
     if args.subcommand not in ("oracle", "compare"):
@@ -401,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         args = _apply_config(args)
-        _check_counts(args)
+        _check_args(args)
         return args.func(args)
     except DomainError as exc:
         print(f"starkspec: domain error: {exc}", file=sys.stderr)

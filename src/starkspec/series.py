@@ -285,22 +285,44 @@ def g_profile(
     return samples
 
 
+#: Points per kernel pass; bounds the kernel's working set (n_terms + 1
+#: term arrays per component) whatever the size of the caller's batch.
+_KERNEL_BLOCK = 4096
+
+
 def _g_table(
     params: ModelParams,
     sector: ParitySector,
     energies: np.ndarray,
     n_terms: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized G over an energy grid.
-
-    Returns ``(values, tails, near_pole, dead)``; ``near_pole`` holds the
-    first flagged step per sample (-1 when none) and ``dead`` marks samples
-    where the recursion hit a pole or the normalization degenerated (their
-    value is nan).  This is the hot path of every scan and sweep.
-    """
-    energies = np.asarray(energies, dtype=float)
+    """Vectorized G over an energy grid of one sector at one coupling (see _g_kernel)."""
     delta_s, gamma_s = sector_couplings(params, sector)
-    g, w = params.g, params.w
+    return _g_kernel(delta_s, gamma_s, params.g, params.w, energies, n_terms)
+
+
+def _g_kernel(delta_s, gamma_s, g, w, energies, n_terms: int):
+    """Vectorized G at points given by broadcastable sector couplings, g, w and energy.
+
+    Returns ``(values, tails, near_pole, dead)`` in the broadcast shape;
+    ``near_pole`` holds the first flagged step per sample (-1 when none) and
+    ``dead`` marks samples where the recursion hit a pole or the
+    normalization degenerated (their value is nan).  Each point goes through
+    the same operations whatever else is evaluated with it.  This is the hot
+    path of every scan and sweep.
+    """
+    *couplings, energies = (np.asarray(a, dtype=float) for a in (delta_s, gamma_s, g, w, energies))
+    shape = np.broadcast_shapes(energies.shape, *(a.shape for a in couplings))
+    energies = np.broadcast_to(energies, shape).ravel()
+    # uniform couplings stay scalars: the same IEEE operations, fewer array passes
+    couplings = [a[()] if a.ndim == 0 else np.broadcast_to(a, shape).ravel() for a in couplings]
+    blocks = [_g_block(*(a if np.ndim(a) == 0 else a[i:i + _KERNEL_BLOCK] for a in couplings),
+                       energies[i:i + _KERNEL_BLOCK], n_terms)
+              for i in range(0, max(1, energies.size), _KERNEL_BLOCK)]
+    return tuple(np.concatenate(parts).reshape(shape) for parts in zip(*blocks))
+
+
+def _g_block(delta_s, gamma_s, g, w, energies, n_terms):
     beta = 1.0 - gamma_s * gamma_s
     w2 = w * w
     det_scale = 4.0 * w2 * beta * beta

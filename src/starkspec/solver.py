@@ -39,6 +39,7 @@ from .series import (
     SERIES_MIN_G,
     PoleEncountered,
     SingularInitialization,
+    _g_kernel,
     _g_table,
     initial_coefficients,
     recurse,
@@ -167,24 +168,6 @@ def _singular_energies(
     return np.array(sorted(out))
 
 
-def _bisect_zeros(params, sector, lo, hi, flo, n_terms, tol_e):
-    """Lockstep bisection of all brackets; returns refined midpoints."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
-    for _ in range(200):
-        if np.all(hi - lo <= tol_e):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = _g_table(params, sector, mid, n_terms)[0]
-        # nan cannot occur: brackets never contain a singular energy
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _refine_min_abs(params, sector, a, b, n_terms, iters=60):
     """Golden-section minimum of |G| on [a, b]."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -224,6 +207,16 @@ def find_regular_zeros(
     ``graze_tol`` without a sign change, typically an unresolved close pair
     of zeros) are emitted with resolved = False rather than dropped.
     """
+    return _find_zeros_batch([(params, sector, e_min, e_max, grid)],
+                             n_terms, tol_e, pole_window, graze_tol)[0]
+
+
+def _scan_zeros(params, sector, e_min, e_max, grid, n_terms, pole_window, graze_tol):
+    """Sign-change brackets and grazing candidates of one zero search.
+
+    Returns (lo, hi, flo, bound, graze): bracket edges, G at the lower edge,
+    the smaller |G| of the two edges, and the refined grazing candidates.
+    """
     if not e_min < e_max:
         raise ValueError(f"e_min < e_max required (got {e_min}, {e_max})")
     if grid < 16:
@@ -242,55 +235,76 @@ def find_regular_zeros(
                 extra.append(p)
     pts = np.unique(np.concatenate([base[keep], np.array(extra)])) if extra else base[keep]
     if pts.size < 2:
-        return []
+        return (np.empty(0),) * 4 + ([],)
 
     values, _, _, dead = _g_table(params, sector, pts, n_terms)
     alive = ~dead & np.isfinite(values)
     pts = pts[alive]
     values = values[alive]
     if pts.size < 2:
-        return []
+        return (np.empty(0),) * 4 + ([],)
 
     # an interval is unusable if a singular energy lies strictly inside it
     pos = np.searchsorted(sing, pts)
     broken = pos[1:] != pos[:-1]
-    flips = (np.sign(values[1:]) * np.sign(values[:-1]) < 0) & ~broken
+    idx = np.flatnonzero((np.sign(values[1:]) * np.sign(values[:-1]) < 0) & ~broken)
+    bound = np.minimum(np.abs(values[idx]), np.abs(values[idx + 1]))
 
-    results: list[tuple[float, bool]] = []
-    idx = np.where(flips)[0]
-    if idx.size:
-        lo, hi, flo = pts[idx], pts[idx + 1], values[idx]
-        roots = _bisect_zeros(params, sector, lo, hi, flo, n_terms, tol_e)
-        at_root = _g_table(params, sector, roots, n_terms)[0]
-        bound = np.minimum(np.abs(values[idx]), np.abs(values[idx + 1]))
-        for r, fr, b in zip(roots, at_root, bound):
-            # a pole masquerading as a sign change explodes instead of collapsing
-            if np.isfinite(fr) and abs(fr) < b:
-                results.append((float(r), True))
-
-    # grazing candidates on the uniform part of the grid
-    spacing = (e_max - e_min) / (grid - 1)
-    graze: list[tuple[float, bool]] = []
+    # grazing candidates on the uniform part of the grid: a kept point and
+    # both kept neighbours of one sign, with the smallest |G| of the three
     bv = np.interp(base, pts, values)  # exact at kept base points, which are in pts
-    for i in range(1, base.size - 1):
-        if not (keep[i - 1] and keep[i] and keep[i + 1]):
-            continue
-        v0, v1, v2 = bv[i - 1], bv[i], bv[i + 1]
-        if abs(v1) < graze_tol and abs(v1) <= abs(v0) and abs(v1) <= abs(v2) \
-                and np.sign(v0) == np.sign(v1) == np.sign(v2):
-            e_at, f_at = _refine_min_abs(params, sector, base[i - 1], base[i + 1], n_terms)
-            if f_at < graze_tol:
-                graze.append((float(e_at), False))
+    av, sv = np.abs(bv), np.sign(bv)
+    graze_at = np.flatnonzero(
+        keep[:-2] & keep[1:-1] & keep[2:] & (av[1:-1] < graze_tol)
+        & (av[1:-1] <= av[:-2]) & (av[1:-1] <= av[2:])
+        & (sv[:-2] == sv[1:-1]) & (sv[1:-1] == sv[2:])) + 1
+    refined = [_refine_min_abs(params, sector, base[i - 1], base[i + 1], n_terms) for i in graze_at]
+    graze = [(float(e_at), False) for e_at, f_at in refined if f_at < graze_tol]
+    return pts[idx], pts[idx + 1], values[idx], bound, graze
 
+
+def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS, tol_e=TOL_E,
+                      pole_window=POLE_WINDOW, graze_tol=GRAZE_TOL):
+    """find_regular_zeros for each (params, sector, e_min, e_max, grid) job.
+
+    Each job is scanned on its own; then the brackets of all jobs are bisected
+    in lockstep, one kernel call per step on the brackets still moving.  A
+    job's brackets keep moving until all of that job's brackets are within
+    ``tol_e``, so every job gets the roots it would get alone.
+    """
+    scans = [_scan_zeros(*job, n_terms, pole_window, graze_tol) for job in jobs]
+    owner = np.repeat(np.arange(len(jobs)), [scan[0].size for scan in scans])
+    lo, hi, flo, bound = (np.concatenate([scan[k] for scan in scans]) for k in range(4))
+    point = np.array([(*sector_couplings(params, sector), params.g, params.w)
+                      for params, sector, *_ in jobs])[owner].T
+    for _ in range(200):
+        act = np.flatnonzero(np.isin(owner, owner[hi - lo > tol_e]))
+        if not act.size:
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        fm = _g_kernel(*(c[act] for c in point), mid, n_terms)[0]
+        # nan cannot occur: brackets never contain a singular energy
+        same = np.sign(fm) == np.sign(flo[act])
+        lo[act] = np.where(same, mid, lo[act])
+        flo[act] = np.where(same, fm, flo[act])
+        hi[act] = np.where(same, hi[act], mid)
+    roots = 0.5 * (lo + hi)
+    at_root = _g_kernel(*point, roots, n_terms)[0]
+    # a pole masquerading as a sign change explodes instead of collapsing
+    found = np.isfinite(at_root) & (np.abs(at_root) < bound)
     near = max(4.0 * tol_e, 1e-13)
-    merged: list[tuple[float, bool]] = []
-    for e, res in sorted(results + graze):
-        if merged and abs(e - merged[-1][0]) < max(near, 2.5 * spacing if not (res and merged[-1][1]) else near):
-            if res and not merged[-1][1]:
-                merged[-1] = (e, res)
-            continue
-        merged.append((e, res))
-    return merged
+    out = []
+    for j, ((_, _, e_min, e_max, grid), scan) in enumerate(zip(jobs, scans)):
+        spacing = (e_max - e_min) / (grid - 1)
+        merged: list[tuple[float, bool]] = []
+        for e, res in sorted([(float(r), True) for r in roots[(owner == j) & found]] + scan[4]):
+            if merged and abs(e - merged[-1][0]) < max(near, 2.5 * spacing if not (res and merged[-1][1]) else near):
+                if res and not merged[-1][1]:
+                    merged[-1] = (e, res)
+                continue
+            merged.append((e, res))
+        out.append(merged)
+    return out
 
 
 def _exceptional_vector(params: ModelParams, sector: ParitySector, n: int):
@@ -455,52 +469,26 @@ def _column_window(delta: float, gamma: float, g: float, level_count: int):
     return params, e_lo, e_hi, _scan_spacing(gamma)
 
 
-def _sweep_column(
-    delta: float,
-    gamma: float,
-    g: float,
-    level_count: int,
-    n_terms: int,
-    tol_e: float,
-) -> list[LevelEntry]:
-    if g < SERIES_MIN_G:
-        params = validate_params(delta, gamma, 0.0)
-        return [
-            LevelEntry(lv.energy, lv.parity, True)
-            for lv in g0_levels(params, level_count)
-        ]
-    params, e_lo, e_hi, spacing = _column_window(delta, gamma, g, level_count)
-    entries: list[LevelEntry] = []
-    for _ in range(8):
-        entries = []
-        for sector in (ParitySector.PLUS, ParitySector.MINUS):
-            grid = max(64, int((e_hi - e_lo) / spacing) + 2)
-            zeros = find_regular_zeros(
-                params, sector, e_lo, e_hi, grid, n_terms=n_terms, tol_e=tol_e
+def _add_degenerate(params: ModelParams, e_lo: float, e_hi: float,
+                    entries: list[LevelEntry]) -> None:
+    """Fill parity-crossing punctures with the window's degenerate ladder energies."""
+    n_hi = int(np.floor(pole_index(params, ParitySector.PLUS, e_hi)))
+    for m in range(1, max(0, n_hi) + 1):
+        try:
+            point = classify_exceptional(params, ParitySector.PLUS, m)
+        except (PoleCollision, SingularInitialization):
+            continue
+        if point.classification is not ExceptionalKind.DEGENERATE:
+            continue
+        if point.energy < e_lo or point.energy > e_hi:
+            continue
+        for parity in (1, -1):
+            hit = any(
+                entry.parity == parity and abs(entry.energy - point.energy) < 1e-7
+                for entry in entries
             )
-            entries.extend(LevelEntry(e, sector.sign, res) for e, res in zeros)
-        n_hi = int(np.floor(pole_index(params, ParitySector.PLUS, e_hi)))
-        for m in range(1, max(0, n_hi) + 1):
-            try:
-                point = classify_exceptional(params, ParitySector.PLUS, m)
-            except (PoleCollision, SingularInitialization):
-                continue
-            if point.classification is not ExceptionalKind.DEGENERATE:
-                continue
-            if point.energy < e_lo or point.energy > e_hi:
-                continue
-            for parity in (1, -1):
-                hit = any(
-                    entry.parity == parity and abs(entry.energy - point.energy) < 1e-7
-                    for entry in entries
-                )
-                if not hit:
-                    entries.append(LevelEntry(point.energy, parity, True))
-        if len(entries) >= level_count:
-            break
-        e_hi += 1.5
-    entries.sort(key=lambda item: (item.energy, -item.parity))
-    return entries[:level_count]
+            if not hit:
+                entries.append(LevelEntry(point.energy, parity, True))
 
 
 def spectrum_sweep(
@@ -528,13 +516,35 @@ def spectrum_sweep(
         raise ValueError(f"g_min < g_max required (got {g_min}, {g_max})")
     validate_params(delta, gamma, g_max)
     g_grid = np.linspace(g_min, g_max, g_steps)
-    columns = [
-        _sweep_column(delta, gamma, float(g), level_count, n_terms, tol_e)
-        for g in g_grid
-    ]
+    free = [LevelEntry(lv.energy, lv.parity, True)
+            for lv in g0_levels(validate_params(delta, gamma, 0.0), level_count)]
+    columns = [list(free) if g < SERIES_MIN_G else [] for g in g_grid]
+    # column index -> (params, e_lo, e_hi) of the series columns still to solve
+    short = {j: _column_window(delta, gamma, float(g), level_count)[:3]
+             for j, g in enumerate(g_grid) if g >= SERIES_MIN_G}
+    spacing = _scan_spacing(gamma)
+    sectors = (ParitySector.PLUS, ParitySector.MINUS)
+    # a short column retries with its window's upper edge raised, up to 8 passes
+    for _ in range(8):
+        if not short:
+            break
+        zeros = iter(_find_zeros_batch(
+            [(params, sector, e_lo, e_hi, max(64, int((e_hi - e_lo) / spacing) + 2))
+             for params, e_lo, e_hi in short.values() for sector in sectors],
+            n_terms, tol_e))
+        for j, (params, e_lo, e_hi) in list(short.items()):
+            entries = [LevelEntry(e, sector.sign, res)
+                       for sector in sectors for e, res in next(zeros)]
+            _add_degenerate(params, e_lo, e_hi, entries)
+            entries.sort(key=lambda item: (item.energy, -item.parity))
+            columns[j] = entries[:level_count]
+            if len(entries) >= level_count:
+                del short[j]
+            else:
+                short[j] = (params, e_lo, e_hi + 1.5)
     return SpectrumTable(
         delta=delta, gamma=gamma, g_grid=g_grid, columns=columns,
-        requested_count=level_count, energy_resolution=_scan_spacing(gamma),
+        requested_count=level_count, energy_resolution=spacing,
     )
 
 

@@ -136,31 +136,56 @@ class TestSpectrumJson:
         assert {"level_index", "parity", "energy", "resolved"} <= set(payload[0]["levels"][0])
 
 
+def assert_usage_error(tmp_path, subcommand, config, *rest, by_flag=True):
+    """Exit 2 with one stderr line and no output, from --config and, where
+    the options can be given as flags, from flags too; returns the stderr lines."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    sources = [("--config", str(path))]
+    if by_flag:
+        sources.append([t for key, value in config.items() for t in ("--" + key, str(value))])
+    errors = []
+    for source in sources:
+        res = run_cli(subcommand, *source, *rest)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in res.stderr
+        if isinstance(config, dict):
+            assert all(f"--{key}" in res.stderr for key in config)
+        errors.append(res.stderr)
+    return errors
+
+
 class TestInvalidCounts:
     """An invalid count exits 2 with one line, from a flag or from --config."""
 
-    @staticmethod
-    def assert_usage_error(tmp_path, subcommand, key, value, *rest):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: value}))
-        for source in (("--" + key, str(value)), ("--config", str(config))):
-            res = run_cli(subcommand, *source, *rest)
-            assert res.returncode == 2
-            assert res.stdout == ""
-            assert len(res.stderr.strip().splitlines()) == 1
-            assert f"--{key}" in res.stderr and "Traceback" not in res.stderr
-
     def test_spectrum_gsteps_one(self, tmp_path):
-        self.assert_usage_error(tmp_path, "spectrum", "gsteps", 1)
+        assert_usage_error(tmp_path, "spectrum", {"gsteps": 1})
 
     def test_oracle_levels_zero(self, tmp_path):
-        self.assert_usage_error(tmp_path, "oracle", "levels", 0)
+        assert_usage_error(tmp_path, "oracle", {"levels": 0})
 
     def test_compare_levels_zero(self, tmp_path):
-        self.assert_usage_error(tmp_path, "compare", "levels", 0)
+        assert_usage_error(tmp_path, "compare", {"levels": 0})
 
     def test_oracle_levels_above_basis(self, tmp_path):
-        self.assert_usage_error(tmp_path, "oracle", "levels", 23, "--cutoff", "10")
+        assert_usage_error(tmp_path, "oracle", {"levels": 23}, "--cutoff", "10")
+
+
+class TestInvalidWindowsAndConfig:
+    def test_spectrum_window_reversed(self, tmp_path):
+        assert_usage_error(tmp_path, "spectrum", {"gmin": 1, "gmax": 0}, "--gsteps", "2")
+
+    def test_gfun_window_reversed(self, tmp_path):
+        assert_usage_error(tmp_path, "gfun", {"xmin": 2, "xmax": 1})
+
+    def test_config_value_not_a_number(self, tmp_path):
+        assert_usage_error(tmp_path, "spectrum", {"gamma": "x"}, by_flag=False)
+
+    def test_config_not_an_object(self, tmp_path):
+        errors = assert_usage_error(tmp_path, "spectrum", [1, 2], by_flag=False)
+        assert "JSON object" in errors[0]
 
 
 class TestNegativeExponentValue:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkspec.model import (
     DomainError,
@@ -14,10 +16,13 @@ from starkspec.model import (
 )
 from starkspec.series import (
     SERIES_MIN_G,
+    _KERNEL_BLOCK,
     OutsideDisk,
     PoleEncountered,
     SeriesCoefficients,
     SingularInitialization,
+    _g_kernel,
+    _g_table,
     eval_rho_pair,
     g_function,
     g_profile,
@@ -207,3 +212,43 @@ class TestGProfile:
         finite = values[np.isfinite(values)]
         flips = np.sum(np.sign(finite[1:]) != np.sign(finite[:-1]))
         assert flips >= 3
+
+
+@st.composite
+def kernel_points(draw):
+    """(params, sector, energy) with energies anywhere, on the pole ladder,
+    just beside it (near-pole flags) and at the normalization pole."""
+    params = validate_params(draw(st.sampled_from([0.0, 0.4, 1.1])),
+                             draw(st.floats(-0.95, 0.95)), draw(st.floats(1e-3, 1.6)))
+    sector = draw(st.sampled_from([PLUS, MINUS]))
+    n = draw(st.integers(1, 8))
+    pole = pole_energies(params, sector, n)[n - 1][1]
+    energy = draw(st.one_of(
+        st.floats(-4.0, 8.0),
+        st.just(pole),
+        st.sampled_from([-3e-7, 1e-7, 2e-6]).map(lambda d: pole + d),
+        st.just(normalization_pole_energy(params, sector)),
+    ))
+    return params, sector, energy
+
+
+class TestKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(points=st.lists(kernel_points(), min_size=1, max_size=10),
+           extra=st.integers(1, 3000), n_terms=st.sampled_from([2, 12, 24]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_broadcast_equals_per_point_calls(self, points, extra, n_terms, seed):
+        # one point on the ladder, so every batch holds a pole-dead sample
+        lift = validate_params(0.4, 0.5, 0.3)
+        points = points + [(lift, MINUS, pole_energies(lift, MINUS, 2)[1][1])]
+        ref = [_g_table(p, sector, np.array([e]), n_terms) for p, sector, e in points]
+        assert ref[-1][3][0]
+        # a mixed-sector, mixed-g batch spanning more than one kernel block
+        pick = np.random.default_rng(seed).integers(len(points), size=_KERNEL_BLOCK + extra)
+        columns = np.array([(sector.sign * p.delta, sector.sign * p.gamma, p.g, p.w, e)
+                            for p, sector, e in points])[pick].T
+        got = _g_kernel(*columns, n_terms)
+        for k in range(4):
+            want = np.concatenate([r[k] for r in ref])[pick]
+            assert got[k].dtype == want.dtype
+            assert np.array_equal(got[k], want, equal_nan=True)

@@ -9,12 +9,19 @@ from starkspec.model import (
     pole_energies,
     validate_params,
 )
+from starkspec.series import _g_table
 from starkspec.solver import (
+    GRAZE_TOL,
+    POLE_WINDOW,
+    TOL_E,
     CrossingKind,
     ExceptionalKind,
     LevelEntry,
     SpectrumTable,
     TrackingAmbiguity,
+    _column_window,
+    _find_zeros_batch,
+    _scan_zeros,
     classify_exceptional,
     detect_crossings,
     find_degenerate_g,
@@ -107,6 +114,44 @@ class TestFindRegularZeros:
             find_regular_zeros(p, PLUS, 1.0, 0.0, 100)
         with pytest.raises(ValueError):
             find_regular_zeros(p, PLUS, 0.0, 1.0, 8)
+
+
+class TestZeroBatch:
+    def test_batch_equals_searches_run_alone(self):
+        hug = validate_params(0.4, 0.5, G_LIFT_N1 + 2e-5)
+        e_pole = pole_energies(hug, PLUS, 1)[0][1]
+        jobs = [
+            (hug, PLUS, e_pole - 0.05, e_pole + 0.05, 200),  # pole-adjacent brackets
+            (hug, MINUS, e_pole - 0.05, e_pole + 0.05, 200),
+            (validate_params(0.4, 0.5, 0.4), MINUS, -0.8, 1.1, 16),  # coarse grid
+            (validate_params(0.4, 0.0, 1.2), PLUS, -2.5, 4.0, 4000),
+            (validate_params(0.4, 0.5, 0.4), PLUS, 0.9, 1.2, 400),  # no zero
+            (validate_params(0.4, 0.463085, 0.089441), PLUS, 3.2, 3.5, 150),  # grazing pair
+        ]
+        widths = np.concatenate([hi - lo for lo, hi, *_ in
+                                 (_scan_zeros(*job, 32, POLE_WINDOW, GRAZE_TOL) for job in jobs)])
+        assert widths.max() / widths.min() > 1e3
+        batch = _find_zeros_batch(jobs, n_terms=32)
+        assert batch == [find_regular_zeros(*job, n_terms=32) for job in jobs]
+        assert not batch[4] and any(not ok for _, ok in batch[5])
+
+
+    def test_brackets_of_one_search_stop_together(self):
+        # reference loop: a search's brackets all keep halving until every
+        # one of them is within tol_e, so the narrow ones end narrower
+        hug = validate_params(0.4, 0.5, G_LIFT_N1 + 2e-5)
+        e_pole = pole_energies(hug, PLUS, 1)[0][1]
+        job = (hug, MINUS, e_pole - 1.0, e_pole + 2.5, 3000)
+        lo, hi, flo, bound, _ = _scan_zeros(*job, 32, POLE_WINDOW, GRAZE_TOL)
+        assert (hi - lo).max() / (hi - lo).min() > 4
+        while np.any(hi - lo > TOL_E):
+            mid = 0.5 * (lo + hi)
+            fm = _g_table(hug, MINUS, mid, 32)[0]
+            same = np.sign(fm) == np.sign(flo)
+            lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
+        roots = 0.5 * (lo + hi)
+        roots = roots[np.abs(_g_table(hug, MINUS, roots, 32)[0]) < bound]
+        assert find_regular_zeros(*job, n_terms=32) == [(float(r), True) for r in roots]
 
 
 class TestClassifyExceptional:
@@ -205,6 +250,17 @@ class TestSpectrumSweep:
             a = [e.energy for e in coarse.columns[j_coarse] if e.resolved]
             b = [e.energy for e in fine.columns[j_fine] if e.resolved]
             assert a == pytest.approx(b, abs=1e-9)
+
+    def test_columns_independent_of_chunking(self):
+        # at N = 12 the g = 0.05 column loses a level to truncation, so its
+        # first window comes up short and has to be extended
+        full = spectrum_sweep(2.5, 0.9, 0.05, 1.6, 6, 14, n_terms=12)
+        e_hi = _column_window(2.5, 0.9, float(full.g_grid[0]), 14)[2]
+        assert max(entry.energy for entry in full.columns[0]) > e_hi
+        for j in range(0, 6, 2):
+            pair = spectrum_sweep(2.5, 0.9, full.g_grid[j], full.g_grid[j + 1], 2, 14, n_terms=12)
+            assert list(pair.g_grid) == list(full.g_grid[j:j + 2])
+            assert pair.columns == full.columns[j:j + 2]
 
     def test_oracle_agreement_row(self):
         table = spectrum_sweep(0.4, 0.5, 0.78, 0.82, 3, 10, n_terms=48)
