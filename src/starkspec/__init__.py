@@ -23,15 +23,9 @@ from .series import (
     DEFAULT_N_TERMS,
     SERIES_MIN_G,
     GSample,
-    OutsideDisk,
-    PoleEncountered,
-    SeriesCoefficients,
     SingularInitialization,
-    eval_rho_pair,
     g_function,
     g_profile,
-    initial_coefficients,
-    recurse,
 )
 from .fock import (
     ConvergenceError,
@@ -74,12 +68,9 @@ __all__ = [
     "LevelEntry",
     "ModelParams",
     "OracleSpectrum",
-    "OutsideDisk",
     "ParitySector",
     "PoleCollision",
-    "PoleEncountered",
     "SERIES_MIN_G",
-    "SeriesCoefficients",
     "SingularInitialization",
     "SpectrumTable",
     "TrackingAmbiguity",
@@ -88,17 +79,14 @@ __all__ = [
     "constants",
     "detect_crossings",
     "diagonalize",
-    "eval_rho_pair",
     "find_degenerate_g",
     "find_regular_zeros",
     "g0_levels",
     "g_function",
     "g_profile",
-    "initial_coefficients",
     "normalization_pole_energy",
     "pole_energies",
     "pole_index",
-    "recurse",
     "spectrum_sweep",
     "validate_params",
 ]

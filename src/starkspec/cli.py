@@ -31,9 +31,9 @@ from .model import (
 from .series import DEFAULT_N_TERMS, SERIES_MIN_G, GSample, g_profile
 from .solver import (
     PoleCollision,
-    classify_exceptional,
     detect_crossings,
     spectrum_sweep,
+    _classify_rungs,
     _column_window,
     _find_zeros_batch,
 )
@@ -91,6 +91,11 @@ def _emit(header: list[str], rows: list[list], fmt: str, out, meta: dict) -> Non
     else:
         records = [dict(zip(header, row)) for row in rows]
         text = json.dumps(records, indent=1) + "\n"
+    _write(text, out, meta)
+
+
+def _write(text: str, out, meta: dict) -> None:
+    """Data to stdout, or to ``out`` with the metadata in a sidecar."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -150,45 +155,29 @@ def _strict_merge(sample, check):
                    reliable=check.reliable and agree)
 
 
-def cmd_spectrum(args) -> int:
+def _sweep(args):
     n_terms = 2 * args.nterms if args.strict else args.nterms
-    table = spectrum_sweep(
-        args.delta, args.gamma, args.gmin, args.gmax, args.gsteps, args.levels,
-        n_terms=n_terms,
-    )
-    if args.format == "json":
-        payload = []
-        for g, column in zip(table.g_grid, table.columns):
-            index = {1: 0, -1: 0}
-            levels = []
-            for entry in column:
-                levels.append({
-                    "level_index": index[entry.parity],
-                    "parity": entry.parity,
-                    "energy": entry.energy,
-                    "resolved": entry.resolved,
-                })
-                index[entry.parity] += 1
-            payload.append({"g": float(g), "levels": levels})
-        text = json.dumps(payload, indent=1) + "\n"
-        if args.out is None or args.out == "-":
-            sys.stdout.write(text)
-        else:
-            path = Path(args.out)
-            path.write_text(text, newline="\n")
-            path.with_name(path.name + ".meta.json").write_text(
-                json.dumps(_meta(args, "spectrum"), indent=1, sort_keys=True) + "\n",
-                newline="\n")
-        return 0
-    rows = []
+    return spectrum_sweep(args.delta, args.gamma, args.gmin, args.gmax, args.gsteps,
+                          args.levels, n_terms=n_terms)
+
+
+def cmd_spectrum(args) -> int:
+    table = _sweep(args)
+    header = ["g", "level_index", "parity", "energy", "resolved"]
+    blocks = []
     for g, column in zip(table.g_grid, table.columns):
         index = {1: 0, -1: 0}
+        blocks.append([])
         for entry in column:
-            rows.append([float(g), index[entry.parity], entry.parity,
-                         entry.energy, entry.resolved])
+            blocks[-1].append([float(g), index[entry.parity], entry.parity,
+                               entry.energy, entry.resolved])
             index[entry.parity] += 1
-    header = ["g", "level_index", "parity", "energy", "resolved"]
-    _emit(header, rows, args.format, args.out,
+    if args.format == "json":
+        payload = [{"g": float(g), "levels": [dict(zip(header[1:], row[1:])) for row in block]}
+                   for g, block in zip(table.g_grid, blocks)]
+        _write(json.dumps(payload, indent=1) + "\n", args.out, _meta(args, "spectrum"))
+        return 0
+    _emit(header, [row for block in blocks for row in block], args.format, args.out,
           _meta(args, "spectrum", g_window=[args.gmin, args.gmax],
                 gsteps=args.gsteps, levels=args.levels))
     return 0
@@ -197,13 +186,12 @@ def cmd_spectrum(args) -> int:
 def cmd_poles(args) -> int:
     params = validate_params(args.delta, args.gamma, args.g)
     rows = []
-    for n in range(1, args.nmax + 1):
-        try:
-            point = classify_exceptional(params, ParitySector.PLUS, n)
+    for point in _classify_rungs(params, ParitySector.PLUS, range(1, args.nmax + 1)):
+        if isinstance(point, PoleCollision):
+            rows.append([point.n, None, None, "pole-collision", None])
+        else:
             rows.append([point.n, point.energy, point.x,
                          point.classification.value, point.residual])
-        except PoleCollision as exc:
-            rows.append([n, None, None, "pole-collision", None])
     header = ["n", "E_pole", "x_pole", "classification", "residual"]
     _emit(header, rows, args.format, args.out,
           _meta(args, "poles", g=args.g, nmax=args.nmax))
@@ -211,12 +199,7 @@ def cmd_poles(args) -> int:
 
 
 def cmd_crossings(args) -> int:
-    n_terms = 2 * args.nterms if args.strict else args.nterms
-    table = spectrum_sweep(
-        args.delta, args.gamma, args.gmin, args.gmax, args.gsteps, args.levels,
-        n_terms=n_terms,
-    )
-    events = detect_crossings(table, args.gap_threshold)
+    events = detect_crossings(_sweep(args), args.gap_threshold)
     rows = [
         [ev.kind.value, ev.g_at, ev.energy_at, ev.gap,
          ev.level_indices[0][0], ev.level_indices[0][1],

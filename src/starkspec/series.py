@@ -1,4 +1,4 @@
-"""Series engine: coupled recursion, series evaluation and connection functions.
+"""Series engine: the coupled recursion and the connection functions.
 
 The eigenvalue problem reduces to a pair of first-order equations with
 regular singular points at z = +/- w.  Around z = -w (series variable
@@ -13,12 +13,17 @@ so the coefficients blow up on the pole ladder.  The connection functions
 
 vanish exactly at the regular eigenvalues of the corresponding parity
 sector; the MINUS sector is the same computation with delta and gamma
-sign-flipped.
+sign-flipped.  On the ladder itself the step-n right-hand-side vector
+decides whether E_pole(n) is an exceptional (degenerate) eigenvalue.
 
 Coefficients are stored in scaled form t_n = alpha_n * w^n (the term values
 at the evaluation point y = w, i.e. the series in u = y/w).  The unscaled
 alpha_n grow like (2w)^(-n) and overflow float64 already at the smallest
 supported coupling g = 1e-6; the scaled ones decay like 2^(-n) for every g.
+
+The recursion step is written once (``_step``) and driven two ways, both
+batched over broadcastable couplings: ``_g_kernel`` sums the series into G,
+``_exceptional_kernel`` stops each point at its own rung n of the ladder.
 """
 
 from __future__ import annotations
@@ -28,31 +33,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ConstantSet,
     DomainError,
     ModelParams,
     ParitySector,
     _constant_values,
-    constants,
     sector_couplings,
 )
 
 __all__ = [
     "SingularInitialization",
-    "PoleEncountered",
-    "OutsideDisk",
-    "SeriesCoefficients",
     "GSample",
     "DEFAULT_N_TERMS",
     "SERIES_MIN_G",
-    "initial_coefficients",
-    "recurse",
-    "eval_rho_pair",
     "g_function",
     "g_profile",
 ]
 
-#: Truncation order that already gives stable root finding in the covered box.
+#: Default truncation order.  It is not enough everywhere in the covered
+#: box: the series tail is not checked, so at gamma = 0.9, g = 1.6 the
+#: PLUS ground state comes out at -4.8414, marked resolved, while the Fock
+#: oracle gives -3.8666.  Pass a larger n_terms (--nterms) at strong coupling.
 DEFAULT_N_TERMS = 12
 
 #: Below this coupling the singular points collide (w -> 0) and the free
@@ -80,39 +80,6 @@ class SingularInitialization(ArithmeticError):
     """Both k0 and c0 vanished: the leading coefficient is undetermined."""
 
 
-class PoleEncountered(ArithmeticError):
-    """The step determinant underflowed its threshold at step ``n``.
-
-    Signals that the energy sits (numerically) on the singular ladder, i.e.
-    is an exceptional-spectrum candidate, not that the recursion is broken.
-    """
-
-    def __init__(self, n: int):
-        super().__init__(f"step determinant vanished at recursion step n={n}")
-        self.n = n
-
-
-class OutsideDisk(ValueError):
-    """Series evaluation requested outside the disk of convergence |y| < 2w."""
-
-
-@dataclass
-class SeriesCoefficients:
-    """Truncated series pair around the singular point z = -w.
-
-    ``alpha[n]`` and ``alpha_bar[n]`` hold the scaled coefficients
-    t_n = alpha_n * w^n (see module docstring); index 0 is unscaled by
-    construction, so ``alpha_bar[0] == 1`` and ``alpha[0] == -kbar0/k0``.
-    """
-
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
-    n_terms: int
-    tail_estimate: float
-    near_pole: int | None
-    w: float
-
-
 @dataclass(frozen=True)
 class GSample:
     """One connection-function evaluation; ``x = energy + g**2``."""
@@ -121,100 +88,6 @@ class GSample:
     x: float
     value: float
     reliable: bool
-
-
-def initial_coefficients(cs: ConstantSet) -> tuple[float, float]:
-    """Leading coefficients (alpha_0, alpha_bar_0) of the series pair.
-
-    The n = 0 equations are homogeneous with identically vanishing
-    determinant, so alpha_bar_0 = 1 can be chosen and
-    alpha_0 = -kbar0/k0 = -cbar0/c0; the better-conditioned of the two
-    equal ratios is used.
-
-    Raises:
-        SingularInitialization: if both denominators are below 1e-14.
-    """
-    if abs(cs.k0) < SINGULAR_INIT_TOL and abs(cs.c0) < SINGULAR_INIT_TOL:
-        raise SingularInitialization(
-            f"k0={cs.k0!r} and c0={cs.c0!r} both vanish at E={cs.energy!r}; "
-            "perturb the energy"
-        )
-    if abs(cs.k0) >= abs(cs.c0):
-        alpha0 = -cs.kbar0 / cs.k0
-    else:
-        alpha0 = -cs.cbar0 / cs.c0
-    return alpha0, 1.0
-
-
-def recurse(cs: ConstantSet, params: ModelParams, n_terms: int) -> SeriesCoefficients:
-    """Run the coupled recursion up to ``n_terms`` in scaled form.
-
-    Each step n >= 1 solves the 2x2 system
-
-        [k0 + 2w(1-g^2)n     kbar0          ] [t_n   ]   [b1]
-        [c0                  cbar0 + 2w..n  ] [tbar_n] = [b2]
-
-    with the right-hand side built from steps n-1 and n-2 (coefficients with
-    negative index vanish by convention, which makes n = 1 a plain special
-    case of the same formula).
-
-    Raises:
-        PoleEncountered: if the relative step determinant drops below
-            1e-9, i.e. the energy sits on the singular ladder.
-    """
-    if n_terms < 1:
-        raise ValueError(f"n_terms >= 1 required (got {n_terms})")
-    w = params.w
-    beta = 1.0 - params.gamma * params.gamma
-    w2 = w * w
-    det_scale = 4.0 * w2 * beta * beta
-
-    t = np.zeros(n_terms + 1)
-    tb = np.zeros(n_terms + 1)
-    t[0], tb[0] = initial_coefficients(cs)
-
-    near_pole: int | None = None
-    t1, tb1 = t[0], tb[0]
-    t2 = tb2 = 0.0
-    for n in range(1, n_terms + 1):
-        k0n = 2.0 * w * beta * n + cs.k0
-        cb0n = 2.0 * w * beta * n + cs.cbar0
-        k1m = beta * (n - 1) - cs.k1
-        cb1m = beta * (n - 1) - cs.cbar1
-        b1 = w * (k1m * t1 - cs.kbar1 * tb1) - w2 * (cs.k2 * t2 + cs.kbar2 * tb2)
-        b2 = w * (-cs.c1 * t1 + cb1m * tb1) - w2 * (cs.c2 * t2 + cs.cbar2 * tb2)
-        det = k0n * cb0n - cs.kbar0 * cs.c0
-        det_rel = det / (det_scale * n)
-        if abs(det_rel) < POLE_ABORT_REL:
-            raise PoleEncountered(n)
-        if near_pole is None and abs(det_rel) < POLE_FLAG_REL:
-            near_pole = n
-        t[n] = (cb0n * b1 - cs.kbar0 * b2) / det
-        tb[n] = (k0n * b2 - cs.c0 * b1) / det
-        t2, tb2, t1, tb1 = t1, tb1, t[n], tb[n]
-
-    tail = abs(t[n_terms]) + abs(tb[n_terms])
-    return SeriesCoefficients(
-        alpha=t, alpha_bar=tb, n_terms=n_terms, tail_estimate=tail,
-        near_pole=near_pole, w=w,
-    )
-
-
-def eval_rho_pair(coeffs: SeriesCoefficients, y: float) -> tuple[float, float]:
-    """Evaluate (rho(y), rho_bar(y)) by Horner's rule in u = y/w.
-
-    Raises:
-        OutsideDisk: if |y| >= 2w, the radius of convergence.
-    """
-    if abs(y) >= 2.0 * coeffs.w:
-        raise OutsideDisk(f"|y|={abs(y)!r} is outside the disk |y| < {2.0 * coeffs.w!r}")
-    u = y / coeffs.w
-    rho = 0.0
-    rho_bar = 0.0
-    for n in range(coeffs.n_terms, -1, -1):
-        rho = rho * u + coeffs.alpha[n]
-        rho_bar = rho_bar * u + coeffs.alpha_bar[n]
-    return rho, rho_bar
 
 
 def _require_series_g(params: ModelParams) -> None:
@@ -236,21 +109,15 @@ def g_function(
 
     At z = 0 the transformation back from the series variable has unit
     prefactor, so the series evaluated at y = w (mid-disk) is all that is
-    needed.  A pole on the recursion ladder yields value = nan with
-    reliable = False; no one-sided limit is attempted.
+    needed.  A pole on the recursion ladder, or the normalization pole,
+    yields value = nan with reliable = False; no one-sided limit is
+    attempted.
     """
     _require_series_g(params)
     if n_terms < 2:
         raise ValueError(f"n_terms >= 2 required (got {n_terms})")
-    cs = constants(params, sector, energy)
-    x = energy + params.g * params.g
-    try:
-        coeffs = recurse(cs, params, n_terms)
-    except PoleEncountered:
-        return GSample(energy=energy, x=x, value=float("nan"), reliable=False)
-    rho, rho_bar = eval_rho_pair(coeffs, coeffs.w)
-    reliable = coeffs.tail_estimate <= tail_tol and coeffs.near_pole is None
-    return GSample(energy=energy, x=x, value=rho_bar - rho, reliable=reliable)
+    return _samples(params, sector, np.array([energy], dtype=float),
+                    np.array([energy + params.g * params.g]), n_terms, tail_tol)[0]
 
 
 def g_profile(
@@ -273,16 +140,16 @@ def g_profile(
     if grid < 2:
         raise ValueError(f"grid >= 2 required (got {grid})")
     xs = np.linspace(x_min, x_max, grid)
-    energies = xs - params.g * params.g
+    return _samples(params, sector, xs - params.g * params.g, xs, n_terms, tail_tol)
+
+
+def _samples(params, sector, energies, xs, n_terms, tail_tol) -> list[GSample]:
+    """G at ``energies``; a sample is reliable when its recursion stayed clear
+    of poles and its tail is within ``tail_tol``."""
     values, tails, near, dead = _g_table(params, sector, energies, n_terms)
-    samples = []
-    for i in range(grid):
-        ok = (not dead[i]) and tails[i] <= tail_tol and near[i] < 0
-        samples.append(
-            GSample(energy=float(energies[i]), x=float(xs[i]),
-                    value=float(values[i]), reliable=bool(ok))
-        )
-    return samples
+    reliable = ~dead & (tails <= tail_tol) & (near < 0)
+    return [GSample(*sample) for sample in
+            zip(energies.tolist(), xs.tolist(), values.tolist(), reliable.tolist())]
 
 
 #: Points per kernel pass; bounds the kernel's working set (n_terms + 1
@@ -322,51 +189,72 @@ def _g_kernel(delta_s, gamma_s, g, w, energies, n_terms: int):
     return tuple(np.concatenate(parts).reshape(shape) for parts in zip(*blocks))
 
 
-def _g_block(delta_s, gamma_s, g, w, energies, n_terms):
+def _start(delta_s, gamma_s, g, w, energies):
+    """Recursion constants and leading pair, shared by both recursion loops.
+
+    Returns ``(frame, singular, t0, tb0)``: ``frame`` feeds :func:`_step`;
+    ``singular`` marks points where k0 and c0 both vanish, so the
+    normalization is degenerate.  The n = 0 equations are homogeneous with
+    identically vanishing determinant, so alpha_bar_0 = 1 is chosen and
+    alpha_0 = -kbar0/k0 = -cbar0/c0, the better-conditioned of the two equal
+    ratios.
+    """
     beta = 1.0 - gamma_s * gamma_s
     w2 = w * w
-    det_scale = 4.0 * w2 * beta * beta
-
-    (k2, k1, k0, kbar2, kbar1, kbar0,
-     cbar2, cbar1, cbar0, c2, c1, c0) = _constant_values(delta_s, gamma_s, g, w, energies)
-
-    dead = (np.abs(k0) < SINGULAR_INIT_TOL) & (np.abs(c0) < SINGULAR_INIT_TOL)
-    near = np.full(energies.shape, -1, dtype=int)
-
+    c = _constant_values(delta_s, gamma_s, g, w, energies)
+    k0, kbar0, cbar0, c0 = c[2], c[5], c[8], c[11]
+    singular = (np.abs(k0) < SINGULAR_INIT_TOL) & (np.abs(c0) < SINGULAR_INIT_TOL)
     use_k = np.abs(k0) >= np.abs(c0)
-    denom = np.where(use_k, k0, c0)
-    denom = np.where(dead, 1.0, denom)
-    t1 = np.where(use_k, -kbar0, -cbar0) / denom
-    tb1 = np.ones_like(energies)
+    t0 = np.where(use_k, -kbar0, -cbar0) / np.where(singular, 1.0, np.where(use_k, k0, c0))
+    return (c, w, w2, beta, 4.0 * w2 * beta * beta), singular, t0, np.ones_like(t0)
+
+
+def _step(frame, n, t1, tb1, t2, tb2):
+    """Step n >= 1 of the coupled recursion, from the terms of steps n-1 and n-2.
+
+    Step n solves the 2x2 system
+
+        [k0 + 2w(1-gamma^2)n  kbar0                   ] [t_n   ]   [b1]
+        [c0                   cbar0 + 2w(1-gamma^2)n  ] [tbar_n] = [b2]
+
+    whose right-hand side is built from steps n-1 and n-2 (terms of negative
+    index vanish, so n = 1 takes t2 = tb2 = 0).  Returns ``(v1, v2, det,
+    det_rel, k0n, cb0n, k1m, cb1m)``: (t_n, tbar_n) = (v1, v2) / det, the
+    adjugate applied to the right-hand side over the determinant, and
+    det_rel = |det| / (4 w^2 n (1-gamma^2)^2) = |n - pole_index(E)|.
+    """
+    (k2, k1, k0, kbar2, kbar1, kbar0, cbar2, cbar1, cbar0, c2, c1, c0), w, w2, beta, det_scale = frame
+    k0n = 2.0 * w * beta * n + k0
+    cb0n = 2.0 * w * beta * n + cbar0
+    k1m = beta * (n - 1) - k1
+    cb1m = beta * (n - 1) - cbar1
+    b1 = w * (k1m * t1 - kbar1 * tb1) - w2 * (k2 * t2 + kbar2 * tb2)
+    b2 = w * (-c1 * t1 + cb1m * tb1) - w2 * (c2 * t2 + cbar2 * tb2)
+    det = k0n * cb0n - kbar0 * c0
+    det_rel = np.abs(det) / (det_scale * n)
+    return cb0n * b1 - kbar0 * b2, k0n * b2 - c0 * b1, det, det_rel, k0n, cb0n, k1m, cb1m
+
+
+def _g_block(delta_s, gamma_s, g, w, energies, n_terms):
+    frame, dead, t1, tb1 = _start(delta_s, gamma_s, g, w, energies)
     t2 = np.zeros_like(energies)
     tb2 = np.zeros_like(energies)
+    near = np.full(energies.shape, -1, dtype=int)
 
     terms = [t1]
     terms_bar = [tb1]
     for n in range(1, n_terms + 1):
-        k0n = 2.0 * w * beta * n + k0
-        cb0n = 2.0 * w * beta * n + cbar0
-        k1m = beta * (n - 1) - k1
-        cb1m = beta * (n - 1) - cbar1
-        b1 = w * (k1m * t1 - kbar1 * tb1) - w2 * (k2 * t2 + kbar2 * tb2)
-        b2 = w * (-c1 * t1 + cb1m * tb1) - w2 * (c2 * t2 + cbar2 * tb2)
-        det = k0n * cb0n - kbar0 * c0
-        det_rel = np.abs(det) / (det_scale * n)
-        hit = det_rel < POLE_ABORT_REL
-        flag = (det_rel < POLE_FLAG_REL) & (near < 0)
-        near = np.where(flag, n, near)
-        dead = dead | hit
+        v1, v2, det, det_rel, *_ = _step(frame, n, t1, tb1, t2, tb2)
+        near = np.where((det_rel < POLE_FLAG_REL) & (near < 0), n, near)
+        dead = dead | (det_rel < POLE_ABORT_REL)
         det = np.where(dead, 1.0, det)
-        tn = (cb0n * b1 - kbar0 * b2) / det
-        tbn = (k0n * b2 - c0 * b1) / det
-        tn = np.where(dead, 0.0, tn)
-        tbn = np.where(dead, 0.0, tbn)
+        tn = np.where(dead, 0.0, v1 / det)
+        tbn = np.where(dead, 0.0, v2 / det)
         terms.append(tn)
         terms_bar.append(tbn)
         t2, tb2, t1, tb1 = t1, tb1, tn, tbn
 
-    # descending summation reproduces eval_rho_pair's Horner order bit for
-    # bit, so scalar and vector paths agree exactly
+    # descending summation: the order of Horner's rule at u = y/w = 1
     rho = np.zeros_like(energies)
     rho_bar = np.zeros_like(energies)
     for n in range(n_terms, -1, -1):
@@ -375,3 +263,42 @@ def _g_block(delta_s, gamma_s, g, w, energies, n_terms):
     tails = np.abs(t1) + np.abs(tb1)
     values = np.where(dead, np.nan, rho_bar - rho)
     return values, tails, near, dead
+
+
+def _exceptional_kernel(delta_s, gamma_s, g, w, n):
+    """The step-n right-hand-side vector at E_pole(n), batched over broadcastable
+    sector couplings, g, w and rungs n >= 1.
+
+    Each point runs the recursion at its own pole energy through step n - 1
+    and stops at rung n, where the step determinant vanishes.  Returns
+    ``(v1, v2, scale1, scale2, energy, collision, singular)`` in the
+    broadcast shape: the signed vector (the adjugate applied to the
+    right-hand side; its two components are proportional on the pole), each
+    component's largest fully expanded monomial, the pole energies, the
+    first step below n at which the recursion hit a pole (-1 when none) and
+    the degenerate-normalization flags.  Each point goes through the same
+    operations whatever else is evaluated with it.
+    """
+    n = np.asarray(n)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (delta_s, gamma_s, g, w, n)))
+    energy = np.broadcast_to(n * (1.0 - gamma_s * gamma_s) - g * g - gamma_s * delta_s, shape)
+    frame, singular, t1, tb1 = _start(delta_s, gamma_s, g, w, energy)
+    t2 = tb2 = np.zeros(shape)
+    collision = np.full(shape, -1)
+    for m in range(1, int(n.max(initial=1))):
+        v1, v2, det, det_rel, *_ = _step(frame, m, t1, tb1, t2, tb2)
+        below = m < n
+        collision = np.where(below & (det_rel < POLE_ABORT_REL) & (collision < 0), m, collision)
+        det = np.where(below & (collision < 0), det, 1.0)
+        t2, tb2, t1, tb1 = (np.where(below, t1, t2), np.where(below, tb1, tb2),
+                            np.where(below, v1 / det, t1), np.where(below, v2 / det, tb1))
+
+    v1, v2, _, _, k0n, cb0n, k1m, cb1m = _step(frame, n, t1, tb1, t2, tb2)
+    (k2, k1, k0, kbar2, kbar1, kbar0, cbar2, cbar1, cbar0, c2, c1, c0), w, w2 = frame[:3]
+    # At a lift b1 and b2 vanish individually, so a useful scale has to come
+    # from the fully expanded monomials, not from cb0n*b1 and kbar0*b2.
+    mono_b1 = np.max(np.abs([w * k1m * t1, w * kbar1 * tb1, w2 * k2 * t2, w2 * kbar2 * tb2]), axis=0)
+    mono_b2 = np.max(np.abs([w * c1 * t1, w * cb1m * tb1, w2 * c2 * t2, w2 * cbar2 * tb2]), axis=0)
+    scale1 = np.maximum(mono_b1 * np.abs(cb0n), mono_b2 * np.abs(kbar0))
+    scale2 = np.maximum(mono_b2 * np.abs(k0n), mono_b1 * np.abs(c0))
+    return v1, v2, scale1, scale2, energy, collision, singular

@@ -18,6 +18,7 @@ crossings, avoided crossings and near-degeneracy onsets are detected.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +27,6 @@ import numpy as np
 from .model import (
     ModelParams,
     ParitySector,
-    constants,
     g0_levels,
     normalization_pole_energy,
     pole_energies,
@@ -37,12 +37,10 @@ from .model import (
 from .series import (
     DEFAULT_N_TERMS,
     SERIES_MIN_G,
-    PoleEncountered,
     SingularInitialization,
+    _exceptional_kernel,
     _g_kernel,
     _g_table,
-    initial_coefficients,
-    recurse,
 )
 
 __all__ = [
@@ -307,48 +305,52 @@ def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS, tol_e=TOL_E,
     return out
 
 
-def _exceptional_vector(params: ModelParams, sector: ParitySector, n: int):
-    """Signed components and scales of the step-n right-hand-side vector at E_pole(n).
+def _rung_vectors(delta_s, gamma_s, g, w, n):
+    """Step-n vectors at E_pole(n) in one kernel call (see _exceptional_kernel).
 
-    Returns (v1, v2, scale1, scale2, e_pole).  The two components are
-    proportional on the pole (the adjugate has rank one), so their common
-    vanishing is a single scalar condition in any one parameter.
+    Returns ``(energy, r, collision, singular)``; ``r`` stacks the vector's
+    two signed components on a leading axis, each relative to its largest
+    monomial, and 0 where that scale is 0 (the component vanishes
+    identically, as the second one does at gamma = 0).
     """
-    if n < 1:
-        raise ValueError(f"n >= 1 required (got {n})")
-    e_pole = pole_energies(params, sector, n)[n - 1][1]
-    cs = constants(params, sector, e_pole)
-    if n == 1:
-        t1, tb1 = initial_coefficients(cs)
-        t2 = tb2 = 0.0
-    else:
-        try:
-            coeffs = recurse(cs, params, n - 1)
-        except PoleEncountered as exc:
-            raise PoleCollision(exc.n, n) from exc
-        t1, tb1 = coeffs.alpha[n - 1], coeffs.alpha_bar[n - 1]
-        t2, tb2 = coeffs.alpha[n - 2], coeffs.alpha_bar[n - 2]
-    w = params.w
-    delta_s, gamma_s = sector_couplings(params, sector)
-    beta = 1.0 - gamma_s * gamma_s
-    w2 = w * w
-    k0n = 2.0 * w * beta * n + cs.k0
-    cb0n = 2.0 * w * beta * n + cs.cbar0
-    k1m = beta * (n - 1) - cs.k1
-    cb1m = beta * (n - 1) - cs.cbar1
-    b1 = w * (k1m * t1 - cs.kbar1 * tb1) - w2 * (cs.k2 * t2 + cs.kbar2 * tb2)
-    b2 = w * (-cs.c1 * t1 + cb1m * tb1) - w2 * (cs.c2 * t2 + cs.cbar2 * tb2)
-    v1 = cb0n * b1 - cs.kbar0 * b2
-    v2 = k0n * b2 - cs.c0 * b1
-    # At a lift b1 and b2 vanish individually, so a useful scale has to come
-    # from the fully expanded monomials, not from cb0n*b1 and kbar0*b2.
-    mono_b1 = (abs(w * k1m * t1), abs(w * cs.kbar1 * tb1),
-               abs(w2 * cs.k2 * t2), abs(w2 * cs.kbar2 * tb2))
-    mono_b2 = (abs(w * cs.c1 * t1), abs(w * cb1m * tb1),
-               abs(w2 * cs.c2 * t2), abs(w2 * cs.cbar2 * tb2))
-    scale1 = max(max(mono_b1) * abs(cb0n), max(mono_b2) * abs(cs.kbar0))
-    scale2 = max(max(mono_b2) * abs(k0n), max(mono_b1) * abs(cs.c0))
-    return v1, v2, scale1, scale2, e_pole
+    v1, v2, scale1, scale2, energy, collision, singular = _exceptional_kernel(delta_s, gamma_s, g, w, n)
+    v, scale = np.stack([v1, v2]), np.stack([scale1, scale2])
+    r = np.where(scale > 0.0, v / np.where(scale > 0.0, scale, 1.0), 0.0)
+    return energy, r, collision, singular
+
+
+def _classify_rungs(params: ModelParams, sector: ParitySector, rungs):
+    """classify_exceptional at each of ``rungs``, in one kernel call.
+
+    A rung whose recursion hits a pole below it gives its PoleCollision in
+    place of an ExceptionalPoint.
+
+    Raises:
+        SingularInitialization: if the normalization degenerates at a rung.
+    """
+    n = np.asarray(rungs)
+    if np.any(n < 1):
+        raise ValueError(f"n >= 1 required (got {n.min()})")
+    energy, r, collision, singular = _rung_vectors(*sector_couplings(params, sector),
+                                                   params.g, params.w, n)
+    if np.any(singular):
+        raise SingularInitialization(
+            f"k0 and c0 both vanish at E_pole({n[singular][0]}); perturb the coupling")
+    points = []
+    for k, e, residual, m in zip(n.tolist(), energy.tolist(), np.abs(r).max(axis=0).tolist(),
+                                 collision.tolist()):
+        if m > 0:
+            points.append(PoleCollision(m, k))
+            continue
+        if residual <= TOL_V:
+            kind = ExceptionalKind.DEGENERATE
+        elif residual >= CLEAR_V:
+            kind = ExceptionalKind.NONDEGENERATE_CANDIDATE
+        else:
+            kind = ExceptionalKind.UNRESOLVED
+        points.append(ExceptionalPoint(n=k, energy=e, x=e + params.g * params.g,
+                                       classification=kind, residual=residual))
+    return points
 
 
 def classify_exceptional(
@@ -367,23 +369,15 @@ def classify_exceptional(
     Raises:
         PoleCollision: if the recursion hits the ladder before step n.
     """
-    v1, v2, s1, s2, e_pole = _exceptional_vector(params, sector, n)
-    r1 = abs(v1) / s1 if s1 > 0.0 else 0.0
-    r2 = abs(v2) / s2 if s2 > 0.0 else 0.0
-    residual = max(r1, r2)
-    if residual <= TOL_V:
-        kind = ExceptionalKind.DEGENERATE
-    elif residual >= CLEAR_V:
-        kind = ExceptionalKind.NONDEGENERATE_CANDIDATE
-    else:
-        kind = ExceptionalKind.UNRESOLVED
-    return ExceptionalPoint(
-        n=n,
-        energy=e_pole,
-        x=e_pole + params.g * params.g,
-        classification=kind,
-        residual=residual,
-    )
+    (point,) = _classify_rungs(params, sector, [n])
+    if isinstance(point, PoleCollision):
+        raise point
+    return point
+
+
+#: Bisection levels evaluated per kernel call in find_degenerate_g: 255
+#: points, so the 0.002 scan spacing reaches 1e-9 in three calls.
+_LIFT_LEVELS = 8
 
 
 def find_degenerate_g(
@@ -398,55 +392,59 @@ def find_degenerate_g(
     """Coupling g_s in [g_lo, g_hi] at which the ladder-n singularity lifts.
 
     Solves for a sign change of the (normalized) recursion vector at
-    E_pole(n) as a function of g; returns None when no sign structure
-    indicates a lift in the window (including the identically degenerate
-    delta = 0 case, where the vector vanishes for every g).
+    E_pole(n) as a function of g; a component that vanishes identically
+    (the second one at gamma = 0) is not required to change sign.  Returns
+    None when no sign structure indicates a lift in the window (including
+    the identically degenerate delta = gamma = 0 case, where the whole
+    vector vanishes for every g).
     """
-    if not g_lo < g_hi:
-        return None
     g_lo = max(g_lo, SERIES_MIN_G)
     if not g_lo < g_hi:
         return None
+    signs = sector_couplings(validate_params(delta, gamma, g_hi), sector)
+    root_scale = math.sqrt(1.0 - gamma * gamma)
 
-    def signed(g: float) -> tuple[float, float] | None:
-        try:
-            params = validate_params(delta, gamma, g)
-            v1, v2, s1, s2, _ = _exceptional_vector(params, sector, n)
-        except (PoleCollision, SingularInitialization):
-            return None
-        r1 = v1 / s1 if s1 > 0.0 else 0.0
-        r2 = v2 / s2 if s2 > 0.0 else 0.0
-        return r1, r2
+    def signed(gs):
+        """Relative vector components at each g, nan where the recursion fails."""
+        gs = np.asarray(gs, dtype=float)
+        _, r, collision, singular = _rung_vectors(*signs, gs, gs / root_scale, n)
+        return np.where((collision < 0) & ~singular, r, np.nan)
 
     n_pts = max(33, min(1025, int((g_hi - g_lo) / 0.002) + 2))
     gs = np.linspace(g_lo, g_hi, n_pts)
-    samples = [signed(g) for g in gs]
-    for i in range(n_pts - 1):
-        a, b = samples[i], samples[i + 1]
-        if a is None or b is None:
-            continue
-        flip1 = a[0] * b[0] < 0.0
-        flip2 = a[1] * b[1] < 0.0
-        if not (flip1 and flip2):
-            continue
-        comp = 0 if min(abs(a[0]), abs(b[0])) >= min(abs(a[1]), abs(b[1])) else 1
+    r = signed(gs)
+    a, b = r[:, :-1], r[:, 1:]
+    flips = a * b < 0.0
+    # every component that is not identically zero changes sign, and one does
+    lift = np.all(flips | ((a == 0.0) & (b == 0.0)), axis=0) & np.any(flips, axis=0)
+    for i in np.flatnonzero(lift):
+        # the component to bisect on: the one further from 0 at both ends
+        comp = int(np.argmax(np.where(flips[:, i], np.minimum(np.abs(a[:, i]), np.abs(b[:, i])), -1.0)))
         lo, hi = gs[i], gs[i + 1]
-        flo = a[comp]
-        for _ in range(200):
-            if hi - lo <= tol_g:
+        flo = a[comp, i]
+        for _ in range(200 // _LIFT_LEVELS):
+            # the next _LIFT_LEVELS bisection levels in one call: every
+            # midpoint they can reach, computed as bisection computes it,
+            # level by level, so node k has children 2k + 1 and 2k + 2
+            edges, levels = np.array([lo, hi]), []
+            for _ in range(_LIFT_LEVELS):
+                levels.append(0.5 * (edges[:-1] + edges[1:]))
+                edges, old_edges = np.empty(2 * edges.size - 1), edges
+                edges[0::2], edges[1::2] = old_edges, levels[-1]
+            mids = np.concatenate(levels)
+            r_mid = signed(mids)
+            at, node = r_mid[comp].tolist(), 0
+            while node < mids.size and hi - lo > tol_g and not math.isnan(at[node]):
+                if np.sign(at[node]) == np.sign(flo):
+                    lo, flo, node = mids[node], at[node], 2 * node + 2
+                else:
+                    hi, node = mids[node], 2 * node + 1
+            if node < mids.size:
                 break
-            mid = 0.5 * (lo + hi)
-            smp = signed(mid)
-            if smp is None:
-                break
-            if np.sign(smp[comp]) == np.sign(flo):
-                lo, flo = mid, smp[comp]
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        check = signed(root)
-        if check is not None and max(abs(check[0]), abs(check[1])) < 1e-3:
-            return float(root)
+        # the root is the midpoint bisection would evaluate next
+        check = r_mid[:, node] if node < mids.size else signed([0.5 * (lo + hi)])[:, 0]
+        if np.max(np.abs(check)) < 1e-3:
+            return float(0.5 * (lo + hi))
     return None
 
 
@@ -469,26 +467,24 @@ def _column_window(delta: float, gamma: float, g: float, level_count: int):
     return params, e_lo, e_hi, _scan_spacing(gamma)
 
 
-def _add_degenerate(params: ModelParams, e_lo: float, e_hi: float,
-                    entries: list[LevelEntry]) -> None:
-    """Fill parity-crossing punctures with the window's degenerate ladder energies."""
-    n_hi = int(np.floor(pole_index(params, ParitySector.PLUS, e_hi)))
-    for m in range(1, max(0, n_hi) + 1):
-        try:
-            point = classify_exceptional(params, ParitySector.PLUS, m)
-        except (PoleCollision, SingularInitialization):
-            continue
-        if point.classification is not ExceptionalKind.DEGENERATE:
-            continue
-        if point.energy < e_lo or point.energy > e_hi:
-            continue
+def _add_degenerate(windows, columns) -> None:
+    """Fill parity-crossing punctures with each window's degenerate ladder energies.
+
+    ``windows`` holds one (params, e_lo, e_hi) per entry list in ``columns``;
+    every rung of every window is classified in one kernel call.
+    """
+    rungs = [np.arange(1, max(0, int(np.floor(pole_index(params, ParitySector.PLUS, e_hi)))) + 1)
+             for params, _, e_hi in windows]
+    owner = np.repeat(np.arange(len(windows)), [r.size for r in rungs])
+    point = np.array([(*sector_couplings(params, ParitySector.PLUS), params.g, params.w, e_lo, e_hi)
+                      for params, e_lo, e_hi in windows])[owner].T
+    energy, r, collision, singular = _rung_vectors(*point[:4], np.concatenate(rungs))
+    degenerate = (collision < 0) & ~singular & (np.abs(r).max(axis=0) <= TOL_V)
+    for i in np.flatnonzero(degenerate & (energy >= point[4]) & (energy <= point[5])):
+        entries, e = columns[owner[i]], float(energy[i])
         for parity in (1, -1):
-            hit = any(
-                entry.parity == parity and abs(entry.energy - point.energy) < 1e-7
-                for entry in entries
-            )
-            if not hit:
-                entries.append(LevelEntry(point.energy, parity, True))
+            if not any(entry.parity == parity and abs(entry.energy - e) < 1e-7 for entry in entries):
+                entries.append(LevelEntry(e, parity, True))
 
 
 def spectrum_sweep(
@@ -514,7 +510,8 @@ def spectrum_sweep(
         raise ValueError(f"level_count >= 1 required (got {level_count})")
     if not g_min < g_max:
         raise ValueError(f"g_min < g_max required (got {g_min}, {g_max})")
-    validate_params(delta, gamma, g_max)
+    for g in (g_min, g_max):
+        validate_params(delta, gamma, g)
     g_grid = np.linspace(g_min, g_max, g_steps)
     free = [LevelEntry(lv.energy, lv.parity, True)
             for lv in g0_levels(validate_params(delta, gamma, 0.0), level_count)]
@@ -532,15 +529,16 @@ def spectrum_sweep(
             [(params, sector, e_lo, e_hi, max(64, int((e_hi - e_lo) / spacing) + 2))
              for params, e_lo, e_hi in short.values() for sector in sectors],
             n_terms, tol_e))
-        for j, (params, e_lo, e_hi) in list(short.items()):
-            entries = [LevelEntry(e, sector.sign, res)
-                       for sector in sectors for e, res in next(zeros)]
-            _add_degenerate(params, e_lo, e_hi, entries)
+        solved = {j: [LevelEntry(e, sector.sign, res) for sector in sectors for e, res in next(zeros)]
+                  for j in short}
+        _add_degenerate(list(short.values()), list(solved.values()))
+        for j, entries in solved.items():
             entries.sort(key=lambda item: (item.energy, -item.parity))
             columns[j] = entries[:level_count]
             if len(entries) >= level_count:
                 del short[j]
             else:
+                params, e_lo, e_hi = short[j]
                 short[j] = (params, e_lo, e_hi + 1.5)
     return SpectrumTable(
         delta=delta, gamma=gamma, g_grid=g_grid, columns=columns,

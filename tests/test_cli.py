@@ -197,3 +197,15 @@ class TestNegativeExponentValue:
         assert res.returncode == 0
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert meta["params"]["gamma"] == -1e-05
+
+
+class TestNegativeG:
+    @pytest.mark.parametrize("subcommand", ["spectrum", "crossings"])
+    def test_negative_gmin_is_domain_error(self, tmp_path, subcommand):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"gmin": -0.5}))
+        for source in (("--gmin", "-0.5"), ("--config", str(path))):
+            res = run_cli(subcommand, *source, "--gmax", "0.5", "--gsteps", "2", "--levels", "2")
+            assert res.returncode == 3
+            assert res.stdout == ""
+            assert "domain error: g >= 0" in res.stderr

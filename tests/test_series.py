@@ -12,22 +12,18 @@ from starkspec.model import (
     constants,
     normalization_pole_energy,
     pole_energies,
+    sector_couplings,
     validate_params,
 )
 from starkspec.series import (
     SERIES_MIN_G,
     _KERNEL_BLOCK,
-    OutsideDisk,
-    PoleEncountered,
-    SeriesCoefficients,
-    SingularInitialization,
     _g_kernel,
     _g_table,
-    eval_rho_pair,
+    _start,
+    _step,
     g_function,
     g_profile,
-    initial_coefficients,
-    recurse,
 )
 
 PLUS = ParitySector.PLUS
@@ -48,31 +44,44 @@ def bisect_zero(params, sector, lo, hi, n_terms, iters=70):
     return 0.5 * (lo + hi)
 
 
+def leading_pair(params, sector, energy):
+    """(alpha_0, alpha_bar_0, singular) as both recursion loops start from them."""
+    _, singular, t0, tb0 = _start(*sector_couplings(params, sector), params.g, params.w,
+                                  np.array([energy]))
+    return t0[0], tb0[0], singular[0]
+
+
+def kernel_at(params, sector, energy, n_terms):
+    """(value, tail, near, dead) of one point."""
+    return tuple(a[0] for a in _g_table(params, sector, np.array([energy]), n_terms))
+
+
 class TestInitialCoefficients:
     def test_alpha_bar_is_one(self):
         p = validate_params(0.4, 0.5, 0.4)
-        _, ab0 = initial_coefficients(constants(p, PLUS, 0.2))
+        _, ab0, _ = leading_pair(p, PLUS, 0.2)
         assert ab0 == 1.0
 
     def test_vanishing_numerator(self):
         # kbar0(E) = 0 at E = g*w - delta*(w+g)/(gamma*w)
         p = validate_params(0.4, 0.5, 0.4)
         e0 = p.g * p.w - p.delta * (p.w + p.g) / (p.gamma * p.w)
-        a0, _ = initial_coefficients(constants(p, PLUS, e0))
+        a0, _, _ = leading_pair(p, PLUS, e0)
         assert abs(a0) < 1e-14
 
     def test_two_expressions_agree(self):
         p = validate_params(0.4, 0.5, 0.4)
         cs = constants(p, PLUS, 0.2)
-        a0, _ = initial_coefficients(cs)
+        a0, _, _ = leading_pair(p, PLUS, 0.2)
         assert abs(a0 + cs.kbar0 / cs.k0) <= 1e-10 * (1.0 + abs(a0))
         assert abs(a0 + cs.cbar0 / cs.c0) <= 1e-10 * (1.0 + abs(a0))
 
     def test_singular_initialization(self):
         p = validate_params(0.4, 0.95, 0.6)
         e_star = normalization_pole_energy(p, PLUS)
-        with pytest.raises(SingularInitialization):
-            initial_coefficients(constants(p, PLUS, e_star))
+        assert leading_pair(p, PLUS, e_star)[2]
+        value, _, _, dead = kernel_at(p, PLUS, e_star, 12)
+        assert dead and math.isnan(value)
 
 
 class TestRecurse:
@@ -82,64 +91,53 @@ class TestRecurse:
         #   c0 t1 + (cbar0 + 2w b) tb1 = w (-c1 t0 - cbar1 tb0)
         p = validate_params(0.4, 0.5, 0.4)
         cs = constants(p, PLUS, 0.2)
-        coeffs = recurse(cs, p, 2)
         w, beta = p.w, 1.0 - p.gamma**2
-        t0, tb0 = coeffs.alpha[0], coeffs.alpha_bar[0]
+        t0, tb0 = -cs.kbar0 / cs.k0, 1.0
         k0n = cs.k0 + 2.0 * w * beta
         cb0n = cs.cbar0 + 2.0 * w * beta
         b1 = w * (-cs.k1 * t0 - cs.kbar1 * tb0)
         b2 = w * (-cs.c1 * t0 - cs.cbar1 * tb0)
         det = k0n * cb0n - cs.kbar0 * cs.c0
-        assert coeffs.alpha[1] == pytest.approx((cb0n * b1 - cs.kbar0 * b2) / det, rel=1e-14)
-        assert coeffs.alpha_bar[1] == pytest.approx((k0n * b2 - cs.c0 * b1) / det, rel=1e-14)
+        t1 = (cb0n * b1 - cs.kbar0 * b2) / det
+        tb1 = (k0n * b2 - cs.c0 * b1) / det
+        frame, _, a0, ab0 = _start(PLUS.sign * p.delta, PLUS.sign * p.gamma, p.g, p.w, 0.2)
+        v1, v2, d, *_ = _step(frame, 1, a0, ab0, 0.0, 0.0)
+        assert v1 / d == pytest.approx(t1, rel=1e-14)
+        assert v2 / d == pytest.approx(tb1, rel=1e-14)
+        # the one-step kernel sums exactly these terms
+        value, tail, near, dead = kernel_at(p, PLUS, 0.2, 1)
+        assert value == pytest.approx((tb0 + tb1) - (t0 + t1), rel=1e-13)
+        assert tail == pytest.approx(abs(t1) + abs(tb1), rel=1e-14)
+        assert near == -1 and not dead
 
-    def test_pole_raises(self):
+    def test_pole_marks_point_dead(self):
         p = validate_params(0.4, 0.5, 0.4)
         e_pole = pole_energies(p, PLUS, 1)[0][1]
-        with pytest.raises(PoleEncountered) as err:
-            recurse(constants(p, PLUS, e_pole), p, 12)
-        assert err.value.n == 1
+        value, _, near, dead = kernel_at(p, PLUS, e_pole, 12)
+        assert dead and math.isnan(value)
+        assert near == 1
 
     def test_near_pole_flagged_not_raised(self):
         p = validate_params(0.4, 0.5, 0.4)
         e_pole = pole_energies(p, PLUS, 1)[0][1]
-        coeffs = recurse(constants(p, PLUS, e_pole + 1e-7), p, 12)
-        assert coeffs.near_pole == 1
+        value, _, near, dead = kernel_at(p, PLUS, e_pole + 1e-7, 12)
+        assert near == 1
+        assert not dead and math.isfinite(value)
 
     def test_tail_shrinks_with_truncation(self):
         p = validate_params(0.4, 0.5, 0.4)
-        cs = constants(p, PLUS, 0.2)
-        tails = [recurse(cs, p, n).tail_estimate for n in (8, 16, 32)]
+        tails = [kernel_at(p, PLUS, 0.2, n)[1] for n in (8, 16, 32)]
         assert tails[0] > tails[1] > tails[2]
         assert tails[2] < 1e-9
 
 
 class TestEvalRhoPair:
-    def test_origin_returns_leading_coefficients(self):
-        p = validate_params(0.4, 0.5, 0.4)
-        coeffs = recurse(constants(p, PLUS, 0.2), p, 12)
-        rho, rho_bar = eval_rho_pair(coeffs, 0.0)
-        assert rho == coeffs.alpha[0]
-        assert rho_bar == coeffs.alpha_bar[0]
-
-    def test_single_term_series(self):
-        coeffs = SeriesCoefficients(
-            alpha=np.zeros(5), alpha_bar=np.array([1.0, 0, 0, 0, 0]),
-            n_terms=4, tail_estimate=0.0, near_pole=None, w=0.5,
-        )
-        assert eval_rho_pair(coeffs, 0.5) == (0.0, 1.0)
-
-    def test_outside_disk(self):
-        p = validate_params(0.4, 0.5, 0.4)
-        coeffs = recurse(constants(p, PLUS, 0.2), p, 12)
-        with pytest.raises(OutsideDisk):
-            eval_rho_pair(coeffs, 2.0 * p.w)
-
     def test_terms_decay_at_evaluation_point(self):
+        # radius 2w, evaluated at w: the last term shrinks at least like 2^-N
         p = validate_params(0.4, 0.5, 0.4)
-        coeffs = recurse(constants(p, PLUS, 0.2), p, 32)
-        mags = np.abs(coeffs.alpha) + np.abs(coeffs.alpha_bar)
-        assert mags[32] < mags[16] < mags[8]
+        tails = {n: kernel_at(p, PLUS, 0.2, n)[1] for n in (8, 16, 32)}
+        assert tails[16] < tails[8] * 2.0**-8
+        assert tails[32] < tails[16] * 2.0**-16
 
 
 class TestGFunction:
@@ -149,10 +147,20 @@ class TestGFunction:
         assert s.x == pytest.approx(0.2 + 0.16, abs=1e-15)
 
     def test_value_matches_series_difference(self):
+        # rho_bar(w) - rho(w): the recursion's terms summed at u = y/w = 1,
+        # highest order first
         p = validate_params(0.4, 0.5, 0.4)
-        coeffs = recurse(constants(p, PLUS, 0.2), p, 24)
-        rho, rho_bar = eval_rho_pair(coeffs, p.w)
-        assert g_function(p, PLUS, 0.2, 24).value == pytest.approx(rho_bar - rho, abs=0)
+        frame, _, t1, tb1 = _start(PLUS.sign * p.delta, PLUS.sign * p.gamma, p.g, p.w, 0.2)
+        t2 = tb2 = 0.0
+        terms = [(t1, tb1)]
+        for n in range(1, 25):
+            v1, v2, det, *_ = _step(frame, n, t1, tb1, t2, tb2)
+            t2, tb2, t1, tb1 = t1, tb1, v1 / det, v2 / det
+            terms.append((t1, tb1))
+        rho = rho_bar = 0.0
+        for t, tb in reversed(terms):
+            rho, rho_bar = rho + t, rho_bar + tb
+        assert g_function(p, PLUS, 0.2, 24).value == rho_bar - rho
 
     def test_pole_sample_is_flagged(self):
         p = validate_params(0.4, 0.5, 0.4)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkspec.fock import build_hamiltonian, diagonalize
 from starkspec.model import (
+    DomainError,
+    ModelParams,
     ParitySector,
+    constants,
     g0_levels,
     normalization_pole_energy,
     pole_energies,
+    sector_couplings,
     validate_params,
 )
-from starkspec.series import _g_table
+from starkspec.series import SingularInitialization, _exceptional_kernel, _g_table, _start, _step
 from starkspec.solver import (
     GRAZE_TOL,
     POLE_WINDOW,
@@ -17,6 +23,7 @@ from starkspec.solver import (
     CrossingKind,
     ExceptionalKind,
     LevelEntry,
+    PoleCollision,
     SpectrumTable,
     TrackingAmbiguity,
     _column_window,
@@ -40,6 +47,77 @@ G_LIFT_N1 = 0.21387555435198
 def oracle_levels(delta, gamma, g, want, cutoff=200):
     p = validate_params(delta, gamma, g)
     return diagonalize(build_hamiltonian(p, cutoff), want, check_convergence=False)
+
+
+def oracle_crossing(delta, gamma, pair, lo, hi, steps=40):
+    """Bisected sign change in g of the oracle's pair-th opposite-parity gap."""
+    def gap(g):
+        spectrum = oracle_levels(delta, gamma, g, 2 * pair + 4, cutoff=120)
+        plus = [e for e, pr in zip(spectrum.energies, spectrum.parities) if pr == 1]
+        minus = [e for e, pr in zip(spectrum.energies, spectrum.parities) if pr == -1]
+        return plus[pair] - minus[pair]
+
+    flo = gap(lo)
+    assert flo * gap(hi) < 0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.sign(gap(mid)) == np.sign(flo):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect(f, lo, hi, steps=100):
+    flo = f(lo)
+    assert flo * f(hi) < 0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.sign(f(mid)) == np.sign(flo):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def singular_rung(n):
+    """(params, MINUS, n) with the normalization pole on rung n: k0 = c0 = 0 there."""
+    def offset(g):
+        p = validate_params(1.1, 0.95, g)
+        return pole_energies(p, MINUS, n)[n - 1][1] - normalization_pole_energy(p, MINUS)
+    return validate_params(1.1, 0.95, bisect(offset, 0.1, 0.4)), MINUS, n
+
+
+def colliding_rung(n, m, w_lo, w_hi):
+    """(params, PLUS, n) whose recursion meets a pole at step m < n.
+
+    With w = g/sqrt(1-gamma^2) the step-m determinant at E_pole(n) is
+    n - m in its relative units and never vanishes; a w in [w_lo, w_hi],
+    off that value, makes it vanish.
+    """
+    delta, gamma, g = 0.4, 0.9, 0.5
+    energy = n * (1.0 - gamma * gamma) - g * g - gamma * delta
+
+    def det(w):
+        frame, _, t0, tb0 = _start(delta, gamma, g, w, energy)
+        return _step(frame, m, t0, tb0, 0.0, 0.0)[2]
+    return ModelParams(delta, gamma, g, bisect(det, w_lo, w_hi)), PLUS, n
+
+
+#: Ladder points where the exceptional kernel's flags fire.
+FLAGGED_RUNGS = [singular_rung(1), singular_rung(2),
+                 colliding_rung(3, 1, 0.38, 0.40), colliding_rung(5, 2, 0.11, 0.12)]
+
+
+@st.composite
+def ladder_points(draw):
+    """(params, sector, n) with n up to 12, including exact lifts."""
+    params = draw(st.one_of(
+        st.builds(validate_params, st.sampled_from([0.0, 0.4, 1.1]),
+                  st.one_of(st.just(0.0), st.floats(-0.95, 0.95)), st.floats(1e-3, 1.6)),
+        st.just(validate_params(0.4, 0.5, G_LIFT_N1)),
+    ))
+    return params, draw(st.sampled_from([PLUS, MINUS])), draw(st.integers(1, 12))
 
 
 class TestFindRegularZeros:
@@ -185,6 +263,67 @@ class TestClassifyExceptional:
         with pytest.raises(ValueError):
             classify_exceptional(p, PLUS, 0)
 
+    def test_flagged_rungs_raise(self):
+        for params, sector, n in FLAGGED_RUNGS[:2]:
+            with pytest.raises(SingularInitialization):
+                classify_exceptional(params, sector, n)
+        for (params, sector, n), m in zip(FLAGGED_RUNGS[2:], (1, 2)):
+            with pytest.raises(PoleCollision) as err:
+                classify_exceptional(params, sector, n)
+            assert (err.value.m, err.value.n) == (m, n)
+
+    def test_n1_vector_by_hand(self):
+        # at rung 1 only the leading pair enters: t0 = alpha_0, tb0 = 1
+        p = validate_params(0.4, 0.5, 0.4)
+        e_pole = pole_energies(p, PLUS, 1)[0][1]
+        cs = constants(p, PLUS, e_pole)
+        w, beta = p.w, 1.0 - p.gamma**2
+        t0 = -cs.kbar0 / cs.k0
+        k0n = cs.k0 + 2.0 * w * beta
+        cb0n = cs.cbar0 + 2.0 * w * beta
+        b1 = w * (-cs.k1 * t0 - cs.kbar1)
+        b2 = w * (-cs.c1 * t0 - cs.cbar1)
+        mono_b1 = max(abs(w * cs.k1 * t0), abs(w * cs.kbar1))
+        mono_b2 = max(abs(w * cs.c1 * t0), abs(w * cs.cbar1))
+        v1, v2, s1, s2, energy, collision, singular = _exceptional_kernel(
+            p.delta, p.gamma, p.g, p.w, 1)
+        assert energy == e_pole and collision == -1 and not singular
+        assert v1 == pytest.approx(cb0n * b1 - cs.kbar0 * b2, rel=1e-12)
+        assert v2 == pytest.approx(k0n * b2 - cs.c0 * b1, rel=1e-12)
+        assert s1 == pytest.approx(max(mono_b1 * abs(cb0n), mono_b2 * abs(cs.kbar0)), rel=1e-12)
+        assert s2 == pytest.approx(max(mono_b2 * abs(k0n), mono_b1 * abs(cs.c0)), rel=1e-12)
+        # on the pole the adjugate has rank one: the components are proportional
+        assert v1 * k0n == pytest.approx(-cs.kbar0 * v2, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(points=st.lists(ladder_points(), min_size=1, max_size=30))
+    def test_batch_equals_per_point_calls(self, points):
+        points = points + FLAGGED_RUNGS
+        want = []
+        for params, sector, n in points:
+            try:
+                point = classify_exceptional(params, sector, n)
+                want.append((point.energy, point.residual))
+            except PoleCollision as exc:
+                want.append(("collision", exc.m))
+            except SingularInitialization:
+                want.append("singular")
+        columns = np.array([(*sector_couplings(params, sector), params.g, params.w)
+                            for params, sector, _ in points]).T
+        v1, v2, s1, s2, energy, collision, singular = _exceptional_kernel(
+            *columns, np.array([n for *_, n in points]))
+        got = []
+        for i in range(len(points)):
+            if singular[i]:
+                got.append("singular")
+            elif collision[i] >= 0:
+                got.append(("collision", int(collision[i])))
+            else:
+                r1 = abs(v1[i]) / s1[i] if s1[i] > 0.0 else 0.0
+                r2 = abs(v2[i]) / s2[i] if s2[i] > 0.0 else 0.0
+                got.append((float(energy[i]), float(max(r1, r2))))
+        assert got == want
+
 
 class TestFindDegenerateG:
     def test_lift_agrees_with_oracle_crossing(self):
@@ -192,24 +331,15 @@ class TestFindDegenerateG:
         # opposite-parity gap and compare with the recursion-vector root
         gs = find_degenerate_g(0.4, 0.5, PLUS, 1, 0.1, 0.4, tol_g=1e-10)
         assert gs is not None
-
-        def oracle_gap(g):
-            spectrum = oracle_levels(0.4, 0.5, g, 6, cutoff=120)
-            plus = [e for e, pr in zip(spectrum.energies, spectrum.parities) if pr == 1]
-            minus = [e for e, pr in zip(spectrum.energies, spectrum.parities) if pr == -1]
-            return plus[1] - minus[1]
-
-        lo, hi = 0.18, 0.25
-        flo = oracle_gap(lo)
-        assert flo * oracle_gap(hi) < 0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if np.sign(oracle_gap(mid)) == np.sign(flo):
-                lo = mid
-            else:
-                hi = mid
-        assert gs == pytest.approx(0.5 * (lo + hi), abs=1e-6)
+        assert gs == pytest.approx(oracle_crossing(0.4, 0.5, 1, 0.18, 0.25), abs=1e-6)
         assert gs == pytest.approx(G_LIFT_N1, abs=1e-9)
+
+    def test_lift_at_gamma_zero_agrees_with_oracle(self):
+        # at gamma = 0 the second vector component vanishes identically, so
+        # the lift is a sign change of the first one alone
+        gs = find_degenerate_g(0.4, 0.0, PLUS, 1, 0.40, 0.50, tol_g=1e-10)
+        assert gs is not None
+        assert abs(gs - oracle_crossing(0.4, 0.0, 1, 0.44, 0.47)) < 1e-8
 
     def test_no_lift_in_subwindow(self):
         assert find_degenerate_g(0.4, 0.5, PLUS, 1, 0.3, 0.4) is None
@@ -230,6 +360,10 @@ class TestSpectrumSweep:
         assert [e.energy for e in got] == pytest.approx(
             [lv.energy for lv in expected], abs=0)
         assert [e.parity for e in got] == [lv.parity for lv in expected]
+
+    def test_negative_g_rejected(self):
+        with pytest.raises(DomainError):
+            spectrum_sweep(0.4, 0.5, -0.5, 0.5, 2, 2)
 
     def test_two_column_table(self):
         table = spectrum_sweep(0.4, 0.5, 0.1, 0.2, 2, 4, n_terms=24)
