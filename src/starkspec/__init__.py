@@ -23,7 +23,6 @@ from .series import (
     DEFAULT_N_TERMS,
     SERIES_MIN_G,
     GSample,
-    SingularInitialization,
     g_function,
     g_profile,
 )
@@ -40,7 +39,6 @@ from .solver import (
     ExceptionalKind,
     ExceptionalPoint,
     LevelEntry,
-    PoleCollision,
     SpectrumTable,
     TrackingAmbiguity,
     classify_exceptional,
@@ -69,9 +67,7 @@ __all__ = [
     "ModelParams",
     "OracleSpectrum",
     "ParitySector",
-    "PoleCollision",
     "SERIES_MIN_G",
-    "SingularInitialization",
     "SpectrumTable",
     "TrackingAmbiguity",
     "build_hamiltonian",

@@ -25,17 +25,14 @@ from .fock import build_hamiltonian, diagonalize
 from .model import (
     DomainError,
     ParitySector,
-    g0_levels,
     validate_params,
 )
-from .series import DEFAULT_N_TERMS, SERIES_MIN_G, GSample, g_profile
+from .series import DEFAULT_N_TERMS, GSample, g_profile
 from .solver import (
-    PoleCollision,
     detect_crossings,
     spectrum_sweep,
     _classify_rungs,
-    _column_window,
-    _find_zeros_batch,
+    _solve_columns,
 )
 
 _DEFAULTS = {
@@ -118,10 +115,6 @@ def _meta(args, subcommand: str, **extra) -> dict:
     return meta
 
 
-def _sector_of(parity: int) -> ParitySector:
-    return ParitySector.PLUS if parity == 1 else ParitySector.MINUS
-
-
 def cmd_gfun(args) -> int:
     params = validate_params(args.delta, args.gamma, args.g)
     n_terms = args.nterms
@@ -187,11 +180,8 @@ def cmd_poles(args) -> int:
     params = validate_params(args.delta, args.gamma, args.g)
     rows = []
     for point in _classify_rungs(params, ParitySector.PLUS, range(1, args.nmax + 1)):
-        if isinstance(point, PoleCollision):
-            rows.append([point.n, None, None, "pole-collision", None])
-        else:
-            rows.append([point.n, point.energy, point.x,
-                         point.classification.value, point.residual])
+        rows.append([point.n, point.energy, point.x,
+                     point.classification.value, point.residual])
     header = ["n", "E_pole", "x_pole", "classification", "residual"]
     _emit(header, rows, args.format, args.out,
           _meta(args, "poles", g=args.g, nmax=args.nmax))
@@ -235,21 +225,14 @@ def cmd_compare(args) -> int:
     spectrum = diagonalize(h, 2 * args.levels + 4)
     oracles = [[float(e) for e, p in zip(spectrum.energies, spectrum.parities)
                 if p == parity][: args.levels] for parity in (1, -1)]
-    if args.g < SERIES_MIN_G:
-        levels = g0_levels(params, 4 * args.levels + 8)
-        found = [[(lv.energy, True) for lv in levels if lv.parity == parity] for parity in (1, -1)]
-    else:
-        _, e_lo, e_hi, spacing = _column_window(
-            args.delta, args.gamma, args.g, 2 * args.levels + 4)
-        tops = [max(e_hi, oracle[-1] + 0.5) for oracle in oracles]
-        found = _find_zeros_batch(
-            [(params, _sector_of(parity), e_lo, top, max(64, int((top - e_lo) / spacing) + 2))
-             for parity, top in zip((1, -1), tops)], n_terms=n_terms)
+    # the series column is solved like a spectrum column, without the oracle
+    (column,) = _solve_columns(args.delta, args.gamma, [args.g], 2 * args.levels + 4, n_terms)
     rows = []
     worst = 0.0
     missing = False
-    for parity, oracle, zeros in zip((1, -1), oracles, found):
-        series = [e for e, resolved in zeros if resolved][: args.levels]
+    for parity, oracle in zip((1, -1), oracles):
+        series = [entry.energy for entry in column
+                  if entry.parity == parity and entry.resolved][: args.levels]
         for i in range(args.levels):
             if i < len(series) and i < len(oracle):
                 diff = abs(series[i] - oracle[i])
@@ -279,14 +262,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"starkspec {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, fixed_g: bool):
+    def common(p, *, fixed_g: bool, series: bool = True):
         p.add_argument("--delta", type=float, help="two-level splitting (units of omega)")
         p.add_argument("--gamma", type=float, help="Stark coupling, |gamma| < 1")
         if fixed_g:
             p.add_argument("--g", type=float, help="Rabi coupling (units of omega)")
-        p.add_argument("--nterms", type=int, help="series truncation order (default 12)")
-        p.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                       help="doubled-truncation self-check")
+        if series:
+            p.add_argument("--nterms", type=int, help="series truncation order (default 12)")
+            p.add_argument("--strict", action=argparse.BooleanOptionalAction,
+                           help="doubled-truncation self-check")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         p.add_argument("--out", help="output path (default stdout; '-' for stdout)")
         p.add_argument("--config", help="JSON config file; flags override it")
@@ -307,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("poles", help="classify ladder singularities at fixed g")
-    common(p, fixed_g=True)
+    common(p, fixed_g=True, series=False)
     p.add_argument("--nmax", type=int)
     p.set_defaults(func=cmd_poles)
 
@@ -321,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crossings)
 
     p = sub.add_parser("oracle", help="truncated-Fock diagonalization")
-    common(p, fixed_g=True)
+    common(p, fixed_g=True, series=False)
     p.add_argument("--cutoff", type=int)
     p.add_argument("--levels", type=int)
     p.set_defaults(func=cmd_oracle)

@@ -41,7 +41,6 @@ from .model import (
 )
 
 __all__ = [
-    "SingularInitialization",
     "GSample",
     "DEFAULT_N_TERMS",
     "SERIES_MIN_G",
@@ -72,12 +71,8 @@ POLE_FLAG_REL = 1e-6
 #: normalization itself is degenerate and the energy must be perturbed.
 SINGULAR_INIT_TOL = 1e-14
 
-#: Default ceiling on |t_N| + |tbar_N| for a sample to count as reliable.
-DEFAULT_TAIL_TOL = 1e-6
-
-
-class SingularInitialization(ArithmeticError):
-    """Both k0 and c0 vanished: the leading coefficient is undetermined."""
+#: Ceiling on |t_N| + |tbar_N| for a sample to count as reliable.
+TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,6 @@ def g_function(
     sector: ParitySector,
     energy: float,
     n_terms: int = DEFAULT_N_TERMS,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> GSample:
     """One connection-function sample G(E) = rho_bar(w) - rho(w).
 
@@ -117,7 +111,7 @@ def g_function(
     if n_terms < 2:
         raise ValueError(f"n_terms >= 2 required (got {n_terms})")
     return _samples(params, sector, np.array([energy], dtype=float),
-                    np.array([energy + params.g * params.g]), n_terms, tail_tol)[0]
+                    np.array([energy + params.g * params.g]), n_terms)[0]
 
 
 def g_profile(
@@ -127,7 +121,6 @@ def g_profile(
     x_max: float,
     grid: int,
     n_terms: int = DEFAULT_N_TERMS,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> list[GSample]:
     """Uniform G samples over x = E + g^2 in [x_min, x_max].
 
@@ -140,14 +133,14 @@ def g_profile(
     if grid < 2:
         raise ValueError(f"grid >= 2 required (got {grid})")
     xs = np.linspace(x_min, x_max, grid)
-    return _samples(params, sector, xs - params.g * params.g, xs, n_terms, tail_tol)
+    return _samples(params, sector, xs - params.g * params.g, xs, n_terms)
 
 
-def _samples(params, sector, energies, xs, n_terms, tail_tol) -> list[GSample]:
+def _samples(params, sector, energies, xs, n_terms) -> list[GSample]:
     """G at ``energies``; a sample is reliable when its recursion stayed clear
-    of poles and its tail is within ``tail_tol``."""
+    of poles and its tail is within ``TAIL_TOL``."""
     values, tails, near, dead = _g_table(params, sector, energies, n_terms)
-    reliable = ~dead & (tails <= tail_tol) & (near < 0)
+    reliable = ~dead & (tails <= TAIL_TOL) & (near < 0)
     return [GSample(*sample) for sample in
             zip(energies.tolist(), xs.tolist(), values.tolist(), reliable.tolist())]
 
@@ -271,25 +264,25 @@ def _exceptional_kernel(delta_s, gamma_s, g, w, n):
 
     Each point runs the recursion at its own pole energy through step n - 1
     and stops at rung n, where the step determinant vanishes.  Returns
-    ``(v1, v2, scale1, scale2, energy, collision, singular)`` in the
-    broadcast shape: the signed vector (the adjugate applied to the
-    right-hand side; its two components are proportional on the pole), each
-    component's largest fully expanded monomial, the pole energies, the
-    first step below n at which the recursion hit a pole (-1 when none) and
-    the degenerate-normalization flags.  Each point goes through the same
-    operations whatever else is evaluated with it.
+    ``(v1, v2, scale1, scale2, energy)`` in the broadcast shape: the signed
+    vector (the adjugate applied to the right-hand side; its two components
+    are proportional on the pole), each component's largest fully expanded
+    monomial and the pole energies.  The vector is nan where the
+    normalization degenerates.  Each point goes through the same operations
+    whatever else is evaluated with it.
+
+    No step below n divides by a vanishing determinant: at E_pole(n) step m
+    has det_rel = |m - n| >= 1, since w = g / sqrt(1 - gamma^2).
     """
     n = np.asarray(n)
     shape = np.broadcast_shapes(*(np.shape(a) for a in (delta_s, gamma_s, g, w, n)))
     energy = np.broadcast_to(n * (1.0 - gamma_s * gamma_s) - g * g - gamma_s * delta_s, shape)
     frame, singular, t1, tb1 = _start(delta_s, gamma_s, g, w, energy)
     t2 = tb2 = np.zeros(shape)
-    collision = np.full(shape, -1)
     for m in range(1, int(n.max(initial=1))):
-        v1, v2, det, det_rel, *_ = _step(frame, m, t1, tb1, t2, tb2)
+        v1, v2, det, *_ = _step(frame, m, t1, tb1, t2, tb2)
         below = m < n
-        collision = np.where(below & (det_rel < POLE_ABORT_REL) & (collision < 0), m, collision)
-        det = np.where(below & (collision < 0), det, 1.0)
+        det = np.where(below, det, 1.0)
         t2, tb2, t1, tb1 = (np.where(below, t1, t2), np.where(below, tb1, tb2),
                             np.where(below, v1 / det, t1), np.where(below, v2 / det, tb1))
 
@@ -301,4 +294,4 @@ def _exceptional_kernel(delta_s, gamma_s, g, w, n):
     mono_b2 = np.max(np.abs([w * c1 * t1, w * cb1m * tb1, w2 * c2 * t2, w2 * cbar2 * tb2]), axis=0)
     scale1 = np.maximum(mono_b1 * np.abs(cb0n), mono_b2 * np.abs(kbar0))
     scale2 = np.maximum(mono_b2 * np.abs(k0n), mono_b1 * np.abs(c0))
-    return v1, v2, scale1, scale2, energy, collision, singular
+    return np.where(singular, np.nan, v1), np.where(singular, np.nan, v2), scale1, scale2, energy

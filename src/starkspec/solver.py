@@ -37,14 +37,12 @@ from .model import (
 from .series import (
     DEFAULT_N_TERMS,
     SERIES_MIN_G,
-    SingularInitialization,
     _exceptional_kernel,
     _g_kernel,
     _g_table,
 )
 
 __all__ = [
-    "PoleCollision",
     "TrackingAmbiguity",
     "ExceptionalKind",
     "CrossingKind",
@@ -78,15 +76,6 @@ TOL_V = 1e-8
 
 #: Relative residual above which it is clearly nonzero.
 CLEAR_V = 1e-4
-
-
-class PoleCollision(ArithmeticError):
-    """E_pole(n) also sits on the ladder at some lower index m < n."""
-
-    def __init__(self, m: int, n: int):
-        super().__init__(f"pole n={n} collides with pole m={m}")
-        self.m = m
-        self.n = n
 
 
 class TrackingAmbiguity(RuntimeError):
@@ -194,22 +183,18 @@ def find_regular_zeros(
     e_max: float,
     grid: int,
     n_terms: int = DEFAULT_N_TERMS,
-    tol_e: float = TOL_E,
-    pole_window: float = POLE_WINDOW,
-    graze_tol: float = GRAZE_TOL,
 ) -> list[tuple[float, bool]]:
     """Regular-spectrum zeros of G in [e_min, e_max].
 
     Returns (energy, resolved) pairs sorted by energy.  Bisected sign-change
     zeros are resolved; grazing candidates (a local |G| minimum below
-    ``graze_tol`` without a sign change, typically an unresolved close pair
+    ``GRAZE_TOL`` without a sign change, typically an unresolved close pair
     of zeros) are emitted with resolved = False rather than dropped.
     """
-    return _find_zeros_batch([(params, sector, e_min, e_max, grid)],
-                             n_terms, tol_e, pole_window, graze_tol)[0]
+    return _find_zeros_batch([(params, sector, e_min, e_max, grid)], n_terms)[0]
 
 
-def _scan_zeros(params, sector, e_min, e_max, grid, n_terms, pole_window, graze_tol):
+def _scan_zeros(params, sector, e_min, e_max, grid, n_terms):
     """Sign-change brackets and grazing candidates of one zero search.
 
     Returns (lo, hi, flo, bound, graze): bracket edges, G at the lower edge,
@@ -220,15 +205,15 @@ def _scan_zeros(params, sector, e_min, e_max, grid, n_terms, pole_window, graze_
     if grid < 16:
         raise ValueError(f"grid >= 16 required (got {grid})")
 
-    sing = _singular_energies(params, sector, e_min - pole_window, e_max + pole_window)
+    sing = _singular_energies(params, sector, e_min - POLE_WINDOW, e_max + POLE_WINDOW)
     base = np.linspace(e_min, e_max, grid)
     keep = np.ones(base.size, dtype=bool)
     for s in sing:
-        keep &= np.abs(base - s) >= pole_window
+        keep &= np.abs(base - s) >= POLE_WINDOW
 
     extra = []
     for s in sing:
-        for p in (s - pole_window, s - POLE_PROBE, s + POLE_PROBE, s + pole_window):
+        for p in (s - POLE_WINDOW, s - POLE_PROBE, s + POLE_PROBE, s + POLE_WINDOW):
             if e_min <= p <= e_max:
                 extra.append(p)
     pts = np.unique(np.concatenate([base[keep], np.array(extra)])) if extra else base[keep]
@@ -253,30 +238,29 @@ def _scan_zeros(params, sector, e_min, e_max, grid, n_terms, pole_window, graze_
     bv = np.interp(base, pts, values)  # exact at kept base points, which are in pts
     av, sv = np.abs(bv), np.sign(bv)
     graze_at = np.flatnonzero(
-        keep[:-2] & keep[1:-1] & keep[2:] & (av[1:-1] < graze_tol)
+        keep[:-2] & keep[1:-1] & keep[2:] & (av[1:-1] < GRAZE_TOL)
         & (av[1:-1] <= av[:-2]) & (av[1:-1] <= av[2:])
         & (sv[:-2] == sv[1:-1]) & (sv[1:-1] == sv[2:])) + 1
     refined = [_refine_min_abs(params, sector, base[i - 1], base[i + 1], n_terms) for i in graze_at]
-    graze = [(float(e_at), False) for e_at, f_at in refined if f_at < graze_tol]
+    graze = [(float(e_at), False) for e_at, f_at in refined if f_at < GRAZE_TOL]
     return pts[idx], pts[idx + 1], values[idx], bound, graze
 
 
-def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS, tol_e=TOL_E,
-                      pole_window=POLE_WINDOW, graze_tol=GRAZE_TOL):
+def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS):
     """find_regular_zeros for each (params, sector, e_min, e_max, grid) job.
 
     Each job is scanned on its own; then the brackets of all jobs are bisected
     in lockstep, one kernel call per step on the brackets still moving.  A
     job's brackets keep moving until all of that job's brackets are within
-    ``tol_e``, so every job gets the roots it would get alone.
+    ``TOL_E``, so every job gets the roots it would get alone.
     """
-    scans = [_scan_zeros(*job, n_terms, pole_window, graze_tol) for job in jobs]
+    scans = [_scan_zeros(*job, n_terms) for job in jobs]
     owner = np.repeat(np.arange(len(jobs)), [scan[0].size for scan in scans])
     lo, hi, flo, bound = (np.concatenate([scan[k] for scan in scans]) for k in range(4))
     point = np.array([(*sector_couplings(params, sector), params.g, params.w)
                       for params, sector, *_ in jobs])[owner].T
     for _ in range(200):
-        act = np.flatnonzero(np.isin(owner, owner[hi - lo > tol_e]))
+        act = np.flatnonzero(np.isin(owner, owner[hi - lo > TOL_E]))
         if not act.size:
             break
         mid = 0.5 * (lo[act] + hi[act])
@@ -290,7 +274,7 @@ def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS, tol_e=TOL_E,
     at_root = _g_kernel(*point, roots, n_terms)[0]
     # a pole masquerading as a sign change explodes instead of collapsing
     found = np.isfinite(at_root) & (np.abs(at_root) < bound)
-    near = max(4.0 * tol_e, 1e-13)
+    near = max(4.0 * TOL_E, 1e-13)
     out = []
     for j, ((_, _, e_min, e_max, grid), scan) in enumerate(zip(jobs, scans)):
         spacing = (e_max - e_min) / (grid - 1)
@@ -308,40 +292,25 @@ def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS, tol_e=TOL_E,
 def _rung_vectors(delta_s, gamma_s, g, w, n):
     """Step-n vectors at E_pole(n) in one kernel call (see _exceptional_kernel).
 
-    Returns ``(energy, r, collision, singular)``; ``r`` stacks the vector's
-    two signed components on a leading axis, each relative to its largest
-    monomial, and 0 where that scale is 0 (the component vanishes
-    identically, as the second one does at gamma = 0).
+    Returns ``(energy, r)``; ``r`` stacks the vector's two signed components
+    on a leading axis, each relative to its largest monomial, 0 where that
+    scale is 0 (the component vanishes identically, as the second one does
+    at gamma = 0) and nan where the normalization degenerates.
     """
-    v1, v2, scale1, scale2, energy, collision, singular = _exceptional_kernel(delta_s, gamma_s, g, w, n)
+    v1, v2, scale1, scale2, energy = _exceptional_kernel(delta_s, gamma_s, g, w, n)
     v, scale = np.stack([v1, v2]), np.stack([scale1, scale2])
-    r = np.where(scale > 0.0, v / np.where(scale > 0.0, scale, 1.0), 0.0)
-    return energy, r, collision, singular
+    r = np.where(scale > 0.0, v / np.where(scale > 0.0, scale, 1.0), v * 0.0)
+    return energy, r
 
 
 def _classify_rungs(params: ModelParams, sector: ParitySector, rungs):
-    """classify_exceptional at each of ``rungs``, in one kernel call.
-
-    A rung whose recursion hits a pole below it gives its PoleCollision in
-    place of an ExceptionalPoint.
-
-    Raises:
-        SingularInitialization: if the normalization degenerates at a rung.
-    """
+    """classify_exceptional at each of ``rungs``, in one kernel call."""
     n = np.asarray(rungs)
     if np.any(n < 1):
         raise ValueError(f"n >= 1 required (got {n.min()})")
-    energy, r, collision, singular = _rung_vectors(*sector_couplings(params, sector),
-                                                   params.g, params.w, n)
-    if np.any(singular):
-        raise SingularInitialization(
-            f"k0 and c0 both vanish at E_pole({n[singular][0]}); perturb the coupling")
+    energy, r = _rung_vectors(*sector_couplings(params, sector), params.g, params.w, n)
     points = []
-    for k, e, residual, m in zip(n.tolist(), energy.tolist(), np.abs(r).max(axis=0).tolist(),
-                                 collision.tolist()):
-        if m > 0:
-            points.append(PoleCollision(m, k))
-            continue
+    for k, e, residual in zip(n.tolist(), energy.tolist(), np.abs(r).max(axis=0).tolist()):
         if residual <= TOL_V:
             kind = ExceptionalKind.DEGENERATE
         elif residual >= CLEAR_V:
@@ -362,17 +331,13 @@ def classify_exceptional(
     and E_pole(n) is a two-fold degenerate eigenvalue, a parity crossing.
     Clearly nonzero residual (>= 1e-4): a nondegenerate-spectrum candidate,
     reported but never placed into level tables.  Anything between is
-    Unresolved.  Residuals are relative to each component's largest additive
-    term (zero scale counts as zero residual, which settles the fully
-    decoupled delta = gamma = 0 case where the vector vanishes identically).
-
-    Raises:
-        PoleCollision: if the recursion hits the ladder before step n.
+    Unresolved, and so is a rung where the normalization degenerates (its
+    residual is nan).  Residuals are relative to each component's largest
+    additive term (zero scale counts as zero residual, which settles the
+    fully decoupled delta = gamma = 0 case where the vector vanishes
+    identically).
     """
-    (point,) = _classify_rungs(params, sector, [n])
-    if isinstance(point, PoleCollision):
-        raise point
-    return point
+    return _classify_rungs(params, sector, [n])[0]
 
 
 #: Bisection levels evaluated per kernel call in find_degenerate_g: 255
@@ -405,10 +370,9 @@ def find_degenerate_g(
     root_scale = math.sqrt(1.0 - gamma * gamma)
 
     def signed(gs):
-        """Relative vector components at each g, nan where the recursion fails."""
+        """Relative vector components at each g, nan where the normalization degenerates."""
         gs = np.asarray(gs, dtype=float)
-        _, r, collision, singular = _rung_vectors(*signs, gs, gs / root_scale, n)
-        return np.where((collision < 0) & ~singular, r, np.nan)
+        return _rung_vectors(*signs, gs, gs / root_scale, n)[1]
 
     n_pts = max(33, min(1025, int((g_hi - g_lo) / 0.002) + 2))
     gs = np.linspace(g_lo, g_hi, n_pts)
@@ -471,20 +435,66 @@ def _add_degenerate(windows, columns) -> None:
     """Fill parity-crossing punctures with each window's degenerate ladder energies.
 
     ``windows`` holds one (params, e_lo, e_hi) per entry list in ``columns``;
-    every rung of every window is classified in one kernel call.
+    every rung of every window is classified in one kernel call.  At
+    delta = gamma = 0 every level n - g^2 is a degenerate pair, n = 0
+    included; rung 0 is the normalization pole, which the kernel cannot
+    reach, so it is filled directly.
     """
     rungs = [np.arange(1, max(0, int(np.floor(pole_index(params, ParitySector.PLUS, e_hi)))) + 1)
              for params, _, e_hi in windows]
     owner = np.repeat(np.arange(len(windows)), [r.size for r in rungs])
     point = np.array([(*sector_couplings(params, ParitySector.PLUS), params.g, params.w, e_lo, e_hi)
                       for params, e_lo, e_hi in windows])[owner].T
-    energy, r, collision, singular = _rung_vectors(*point[:4], np.concatenate(rungs))
-    degenerate = (collision < 0) & ~singular & (np.abs(r).max(axis=0) <= TOL_V)
-    for i in np.flatnonzero(degenerate & (energy >= point[4]) & (energy <= point[5])):
-        entries, e = columns[owner[i]], float(energy[i])
+    energy, r = _rung_vectors(*point[:4], np.concatenate(rungs))
+    degenerate = np.abs(r).max(axis=0) <= TOL_V
+    found = [(owner[i], float(energy[i]))
+             for i in np.flatnonzero(degenerate & (energy >= point[4]) & (energy <= point[5]))]
+    found += [(j, -params.g * params.g) for j, (params, _, _) in enumerate(windows)
+              if params.delta == 0.0 and params.gamma == 0.0]
+    for j, e in found:
+        entries = columns[j]
         for parity in (1, -1):
             if not any(entry.parity == parity and abs(entry.energy - e) < 1e-7 for entry in entries):
                 entries.append(LevelEntry(e, parity, True))
+
+
+def _solve_columns(delta: float, gamma: float, g_grid, level_count: int, n_terms: int):
+    """Lowest ``level_count`` levels of both sectors at each coupling of ``g_grid``.
+
+    Returns one sorted LevelEntry list per coupling.  A coupling below the
+    series floor gets the exact free-limit levels; the others are solved in
+    one batched zero search per pass, with degenerate exceptional energies
+    filling parity-crossing punctures.  A column that comes up short retries
+    with its window's upper edge raised, up to 8 passes, and is returned
+    short if it never fills.
+    """
+    free = [LevelEntry(lv.energy, lv.parity, True)
+            for lv in g0_levels(validate_params(delta, gamma, 0.0), level_count)]
+    columns = [list(free) if g < SERIES_MIN_G else [] for g in g_grid]
+    # column index -> (params, e_lo, e_hi) of the series columns still to solve
+    short = {j: _column_window(delta, gamma, float(g), level_count)[:3]
+             for j, g in enumerate(g_grid) if g >= SERIES_MIN_G}
+    spacing = _scan_spacing(gamma)
+    sectors = (ParitySector.PLUS, ParitySector.MINUS)
+    for _ in range(8):
+        if not short:
+            break
+        zeros = iter(_find_zeros_batch(
+            [(params, sector, e_lo, e_hi, max(64, int((e_hi - e_lo) / spacing) + 2))
+             for params, e_lo, e_hi in short.values() for sector in sectors],
+            n_terms))
+        solved = {j: [LevelEntry(e, sector.sign, res) for sector in sectors for e, res in next(zeros)]
+                  for j in short}
+        _add_degenerate(list(short.values()), list(solved.values()))
+        for j, entries in solved.items():
+            entries.sort(key=lambda item: (item.energy, -item.parity))
+            columns[j] = entries[:level_count]
+            if len(entries) >= level_count:
+                del short[j]
+            else:
+                params, e_lo, e_hi = short[j]
+                short[j] = (params, e_lo, e_hi + 1.5)
+    return columns
 
 
 def spectrum_sweep(
@@ -495,7 +505,6 @@ def spectrum_sweep(
     g_steps: int,
     level_count: int,
     n_terms: int = DEFAULT_N_TERMS,
-    tol_e: float = TOL_E,
 ) -> SpectrumTable:
     """Lowest ``level_count`` levels of both sectors over a uniform g grid.
 
@@ -513,36 +522,10 @@ def spectrum_sweep(
     for g in (g_min, g_max):
         validate_params(delta, gamma, g)
     g_grid = np.linspace(g_min, g_max, g_steps)
-    free = [LevelEntry(lv.energy, lv.parity, True)
-            for lv in g0_levels(validate_params(delta, gamma, 0.0), level_count)]
-    columns = [list(free) if g < SERIES_MIN_G else [] for g in g_grid]
-    # column index -> (params, e_lo, e_hi) of the series columns still to solve
-    short = {j: _column_window(delta, gamma, float(g), level_count)[:3]
-             for j, g in enumerate(g_grid) if g >= SERIES_MIN_G}
-    spacing = _scan_spacing(gamma)
-    sectors = (ParitySector.PLUS, ParitySector.MINUS)
-    # a short column retries with its window's upper edge raised, up to 8 passes
-    for _ in range(8):
-        if not short:
-            break
-        zeros = iter(_find_zeros_batch(
-            [(params, sector, e_lo, e_hi, max(64, int((e_hi - e_lo) / spacing) + 2))
-             for params, e_lo, e_hi in short.values() for sector in sectors],
-            n_terms, tol_e))
-        solved = {j: [LevelEntry(e, sector.sign, res) for sector in sectors for e, res in next(zeros)]
-                  for j in short}
-        _add_degenerate(list(short.values()), list(solved.values()))
-        for j, entries in solved.items():
-            entries.sort(key=lambda item: (item.energy, -item.parity))
-            columns[j] = entries[:level_count]
-            if len(entries) >= level_count:
-                del short[j]
-            else:
-                params, e_lo, e_hi = short[j]
-                short[j] = (params, e_lo, e_hi + 1.5)
     return SpectrumTable(
-        delta=delta, gamma=gamma, g_grid=g_grid, columns=columns,
-        requested_count=level_count, energy_resolution=spacing,
+        delta=delta, gamma=gamma, g_grid=g_grid,
+        columns=_solve_columns(delta, gamma, g_grid, level_count, n_terms),
+        requested_count=level_count, energy_resolution=_scan_spacing(gamma),
     )
 
 

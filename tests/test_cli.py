@@ -97,6 +97,27 @@ class TestPoles:
         assert first[3] == "degenerate"
         assert abs(float(first[2]) - 0.55) < 1e-12
 
+    def test_singular_normalization_row_unresolved(self):
+        # the normalization pole sits on rung 1 at this coupling
+        res = run_cli("poles", "--delta", "1.1", "--gamma", "0.95",
+                      "--g", "0.26196970656063584", "--nmax", "4")
+        assert res.returncode == 0
+        rows = [line.split(",") for line in res.stdout.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+        assert rows[0][3:] == ["unresolved", ""]
+        for row in rows[1:]:
+            assert row[3] in ("degenerate", "nondegenerate-candidate")
+            assert float(row[4]) >= 0.0
+
+
+class TestSeriesFlags:
+    @pytest.mark.parametrize("flag", [("--nterms", "5"), ("--strict",)])
+    @pytest.mark.parametrize("subcommand", ["oracle", "poles"])
+    def test_rejected_where_no_series_runs(self, subcommand, flag):
+        res = run_cli(subcommand, *flag)
+        assert res.returncode == 2
+        assert "unrecognized arguments" in res.stderr
+
 
 class TestOracle:
     def test_free_limit_levels(self):
@@ -121,6 +142,21 @@ class TestCompare:
                       "--levels", "5", "--tol", "1e-14", "--cutoff", "120",
                       "--nterms", "48")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("delta,gamma,g", [
+        (0.4, 0.5, "0.21387555435198102"),  # parity crossing of the n = 1 rung
+        (0.4, 0.0, "0.4582575697"),  # its gamma = 0 counterpart
+    ])
+    def test_parity_crossing_lists_both_levels(self, delta, gamma, g):
+        res = run_cli("compare", "--delta", str(delta), "--gamma", str(gamma), "--g", g,
+                      "--levels", "5", "--cutoff", "120")
+        assert res.returncode == 0
+        rows = [line.split(",") for line in res.stdout.strip().split("\n")[1:]]
+        assert max(float(row[4]) for row in rows) <= 1e-9
+
+    def test_decoupled_limit_exit_zero(self):
+        res = run_cli("compare", "--delta", "0", "--gamma", "0", "--g", "0.4")
+        assert res.returncode == 0
 
 
 class TestSpectrumJson:

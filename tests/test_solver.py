@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from starkspec.fock import build_hamiltonian, diagonalize
 from starkspec.model import (
     DomainError,
-    ModelParams,
     ParitySector,
     constants,
     g0_levels,
@@ -15,15 +16,12 @@ from starkspec.model import (
     sector_couplings,
     validate_params,
 )
-from starkspec.series import SingularInitialization, _exceptional_kernel, _g_table, _start, _step
+from starkspec.series import _exceptional_kernel, _g_table, _start
 from starkspec.solver import (
-    GRAZE_TOL,
-    POLE_WINDOW,
     TOL_E,
     CrossingKind,
     ExceptionalKind,
     LevelEntry,
-    PoleCollision,
     SpectrumTable,
     TrackingAmbiguity,
     _column_window,
@@ -88,25 +86,8 @@ def singular_rung(n):
     return validate_params(1.1, 0.95, bisect(offset, 0.1, 0.4)), MINUS, n
 
 
-def colliding_rung(n, m, w_lo, w_hi):
-    """(params, PLUS, n) whose recursion meets a pole at step m < n.
-
-    With w = g/sqrt(1-gamma^2) the step-m determinant at E_pole(n) is
-    n - m in its relative units and never vanishes; a w in [w_lo, w_hi],
-    off that value, makes it vanish.
-    """
-    delta, gamma, g = 0.4, 0.9, 0.5
-    energy = n * (1.0 - gamma * gamma) - g * g - gamma * delta
-
-    def det(w):
-        frame, _, t0, tb0 = _start(delta, gamma, g, w, energy)
-        return _step(frame, m, t0, tb0, 0.0, 0.0)[2]
-    return ModelParams(delta, gamma, g, bisect(det, w_lo, w_hi)), PLUS, n
-
-
-#: Ladder points where the exceptional kernel's flags fire.
-FLAGGED_RUNGS = [singular_rung(1), singular_rung(2),
-                 colliding_rung(3, 1, 0.38, 0.40), colliding_rung(5, 2, 0.11, 0.12)]
+#: Ladder points where the normalization degenerates.
+SINGULAR_RUNGS = [singular_rung(1), singular_rung(2)]
 
 
 @st.composite
@@ -207,7 +188,7 @@ class TestZeroBatch:
             (validate_params(0.4, 0.463085, 0.089441), PLUS, 3.2, 3.5, 150),  # grazing pair
         ]
         widths = np.concatenate([hi - lo for lo, hi, *_ in
-                                 (_scan_zeros(*job, 32, POLE_WINDOW, GRAZE_TOL) for job in jobs)])
+                                 (_scan_zeros(*job, 32) for job in jobs)])
         assert widths.max() / widths.min() > 1e3
         batch = _find_zeros_batch(jobs, n_terms=32)
         assert batch == [find_regular_zeros(*job, n_terms=32) for job in jobs]
@@ -220,7 +201,7 @@ class TestZeroBatch:
         hug = validate_params(0.4, 0.5, G_LIFT_N1 + 2e-5)
         e_pole = pole_energies(hug, PLUS, 1)[0][1]
         job = (hug, MINUS, e_pole - 1.0, e_pole + 2.5, 3000)
-        lo, hi, flo, bound, _ = _scan_zeros(*job, 32, POLE_WINDOW, GRAZE_TOL)
+        lo, hi, flo, bound, _ = _scan_zeros(*job, 32)
         assert (hi - lo).max() / (hi - lo).min() > 4
         while np.any(hi - lo > TOL_E):
             mid = 0.5 * (lo + hi)
@@ -263,14 +244,12 @@ class TestClassifyExceptional:
         with pytest.raises(ValueError):
             classify_exceptional(p, PLUS, 0)
 
-    def test_flagged_rungs_raise(self):
-        for params, sector, n in FLAGGED_RUNGS[:2]:
-            with pytest.raises(SingularInitialization):
-                classify_exceptional(params, sector, n)
-        for (params, sector, n), m in zip(FLAGGED_RUNGS[2:], (1, 2)):
-            with pytest.raises(PoleCollision) as err:
-                classify_exceptional(params, sector, n)
-            assert (err.value.m, err.value.n) == (m, n)
+    def test_singular_rungs_unresolved(self):
+        for params, sector, n in SINGULAR_RUNGS:
+            point = classify_exceptional(params, sector, n)
+            assert point.classification is ExceptionalKind.UNRESOLVED
+            assert math.isnan(point.residual)
+            assert point.energy == pole_energies(params, sector, n)[n - 1][1]
 
     def test_n1_vector_by_hand(self):
         # at rung 1 only the leading pair enters: t0 = alpha_0, tb0 = 1
@@ -285,9 +264,8 @@ class TestClassifyExceptional:
         b2 = w * (-cs.c1 * t0 - cs.cbar1)
         mono_b1 = max(abs(w * cs.k1 * t0), abs(w * cs.kbar1))
         mono_b2 = max(abs(w * cs.c1 * t0), abs(w * cs.cbar1))
-        v1, v2, s1, s2, energy, collision, singular = _exceptional_kernel(
-            p.delta, p.gamma, p.g, p.w, 1)
-        assert energy == e_pole and collision == -1 and not singular
+        v1, v2, s1, s2, energy = _exceptional_kernel(p.delta, p.gamma, p.g, p.w, 1)
+        assert energy == e_pole
         assert v1 == pytest.approx(cb0n * b1 - cs.kbar0 * b2, rel=1e-12)
         assert v2 == pytest.approx(k0n * b2 - cs.c0 * b1, rel=1e-12)
         assert s1 == pytest.approx(max(mono_b1 * abs(cb0n), mono_b2 * abs(cs.kbar0)), rel=1e-12)
@@ -298,31 +276,39 @@ class TestClassifyExceptional:
     @settings(max_examples=25, deadline=None)
     @given(points=st.lists(ladder_points(), min_size=1, max_size=30))
     def test_batch_equals_per_point_calls(self, points):
-        points = points + FLAGGED_RUNGS
+        points = points + SINGULAR_RUNGS
         want = []
         for params, sector, n in points:
-            try:
-                point = classify_exceptional(params, sector, n)
-                want.append((point.energy, point.residual))
-            except PoleCollision as exc:
-                want.append(("collision", exc.m))
-            except SingularInitialization:
-                want.append("singular")
+            point = classify_exceptional(params, sector, n)
+            want.append("singular" if math.isnan(point.residual) else (point.energy, point.residual))
         columns = np.array([(*sector_couplings(params, sector), params.g, params.w)
                             for params, sector, _ in points]).T
-        v1, v2, s1, s2, energy, collision, singular = _exceptional_kernel(
-            *columns, np.array([n for *_, n in points]))
+        v1, v2, s1, s2, energy = _exceptional_kernel(*columns, np.array([n for *_, n in points]))
         got = []
         for i in range(len(points)):
-            if singular[i]:
+            if np.isnan(v1[i]):
                 got.append("singular")
-            elif collision[i] >= 0:
-                got.append(("collision", int(collision[i])))
             else:
                 r1 = abs(v1[i]) / s1[i] if s1[i] > 0.0 else 0.0
                 r2 = abs(v2[i]) / s2[i] if s2[i] > 0.0 else 0.0
                 got.append((float(energy[i]), float(max(r1, r2))))
         assert got == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(points=st.lists(st.tuples(
+        st.builds(validate_params, st.floats(0.0, 2.0), st.floats(-0.95, 0.95),
+                  st.floats(1e-3, 1.6)),
+        st.sampled_from([PLUS, MINUS]), st.integers(1, 40)), min_size=1, max_size=40))
+    def test_step_vector_finite_off_singular_normalization(self, points):
+        # why the kernel steps without a pole check: at E_pole(n) step m < n
+        # has relative determinant |m - n| >= 1 for every validated point
+        points = points + SINGULAR_RUNGS
+        columns = np.array([(*sector_couplings(params, sector), params.g, params.w)
+                            for params, sector, _ in points]).T
+        v1, v2, _, _, energy = _exceptional_kernel(*columns, np.array([n for *_, n in points]))
+        singular = _start(*columns, energy)[1]
+        assert np.array_equal(np.isfinite(v1) & np.isfinite(v2), ~singular)
+        assert singular[-len(SINGULAR_RUNGS):].all()
 
 
 class TestFindDegenerateG:
@@ -395,6 +381,17 @@ class TestSpectrumSweep:
             pair = spectrum_sweep(2.5, 0.9, full.g_grid[j], full.g_grid[j + 1], 2, 14, n_terms=12)
             assert list(pair.g_grid) == list(full.g_grid[j:j + 2])
             assert pair.columns == full.columns[j:j + 2]
+
+    @pytest.mark.parametrize("g", [0.05, 0.4, 1.2])
+    def test_decoupled_limit_matches_oracle(self, g):
+        # at delta = gamma = 0 every level n - g^2 is a degenerate pair, the
+        # ground pair at the normalization pole included
+        column = spectrum_sweep(0.0, 0.0, 0.0, g, 2, 10).columns[1]
+        spectrum = oracle_levels(0.0, 0.0, g, 10)
+        for parity in (1, -1):
+            got = [e.energy for e in column if e.parity == parity and e.resolved]
+            want = [e for e, pr in zip(spectrum.energies, spectrum.parities) if pr == parity]
+            assert got == pytest.approx(want, abs=1e-9)
 
     def test_oracle_agreement_row(self):
         table = spectrum_sweep(0.4, 0.5, 0.78, 0.82, 3, 10, n_terms=48)
