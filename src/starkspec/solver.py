@@ -1,12 +1,15 @@
 """Spectrum extraction from the connection functions.
 
-Regular eigenvalues are zeros of G; the scanner excludes small windows
-around every singular energy (the pole ladder plus the normalization pole),
-brackets sign changes on the remaining grid, re-brackets between each window
-edge and the pole itself (zeros can sit arbitrarily close to a pole near a
-level crossing), and refines by bisection.  Candidate energies where the
-sign change comes from a pole rather than a zero are rejected by comparing
-|G| at the refined point against the bracket endpoints.
+Regular eigenvalues are zeros of G.  The singular energies (the pole ladder
+plus the normalization pole) cut an energy window into pole intervals, on
+which G is smooth; one ladder spacing holds at most two zeros.  Each
+interval is sampled at its ends, ``POLE_PROBE`` short of its poles, and at
+Chebyshev nodes.  A sign change between neighbouring samples is a bracket.
+A local minimum of |G| between samples of one sign s may hide a close pair
+of zeros: s * G is minimised there until a sample goes negative (two
+brackets) or the minimum is shown positive.  Brackets are refined by
+Illinois steps.  A grazing minimum that stays positive but below
+``GRAZE_TOL`` is reported as an unresolved candidate.
 
 Exceptional candidates live on the pole ladder; a candidate is a two-fold
 degenerate eigenvalue (a parity-crossing point) exactly when the recursion's
@@ -39,7 +42,6 @@ from .series import (
     SERIES_MIN_G,
     _exceptional_kernel,
     _g_kernel,
-    _g_table,
 )
 
 __all__ = [
@@ -57,15 +59,35 @@ __all__ = [
     "detect_crossings",
 ]
 
-#: Half-width (in energy) of the exclusion window around singular energies.
-POLE_WINDOW = 1e-4
+#: Distance from a singular energy at which its pole interval ends: far
+#: outside the recursion's abort zone (~1e-9), yet close enough that a zero
+#: hugging a pole near a lift is still bracketed.
+POLE_PROBE = 1e-8
 
-#: Probe distance from a pole used to read off the sign of the divergence;
-#: far outside the recursion's abort zone (~1e-9) yet deep inside the window.
-POLE_PROBE = POLE_WINDOW * 1e-4
-
-#: Bisection convergence in energy.
+#: Bracket convergence in energy.
 TOL_E = 1e-10
+
+#: Chebyshev nodes per pole interval and per ladder spacing of its width;
+#: a search's ``grid`` may raise it.
+_NODES = 16
+
+#: Ladder spacings by which a search widens its window on each side: a pair
+#: of zeros just inside the window then lies between samples, never beyond
+#: the last one.  Zeros in the margins are dropped.
+_MARGIN = 0.01
+
+#: New samples on each side of a signed minimum per multisection step.
+_SIDE = 4
+
+#: Full-depth bracket width of a signed minimum: the closest same-parity
+#: pair of zeros the search sets out to split.
+_PAIR_RESOLUTION = 1e-9
+
+#: Points per kernel call of a zero search; bounds its working set.
+_SLICE = 2048
+
+#: Cap on the Illinois steps of one bracket.
+_MAX_STEPS = 200
 
 #: |G| ceiling under which a sign-preserving local minimum counts as a
 #: grazing-zero candidate.
@@ -126,8 +148,9 @@ class LevelEntry(NamedTuple):
 class SpectrumTable:
     """Parity-labeled levels over a grid of couplings g.
 
-    ``energy_resolution`` is the energy-scan spacing the columns were built
-    with; crossing detection refuses to track levels that approach within
+    ``energy_resolution`` is the closest same-parity pair separation the
+    zero search sets out to resolve (the full-depth width of its signed
+    minimum); crossing detection refuses to track levels that approach within
     half of it (the table cannot distinguish them there).
     """
 
@@ -155,27 +178,6 @@ def _singular_energies(
     return np.array(sorted(out))
 
 
-def _refine_min_abs(params, sector, a, b, n_terms, iters=60):
-    """Golden-section minimum of |G| on [a, b]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - (b - a) * inv_phi
-    d = a + (b - a) * inv_phi
-    fc = abs(_g_table(params, sector, np.array([c]), n_terms)[0][0])
-    fd = abs(_g_table(params, sector, np.array([d]), n_terms)[0][0])
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * inv_phi
-            fc = abs(_g_table(params, sector, np.array([c]), n_terms)[0][0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * inv_phi
-            fd = abs(_g_table(params, sector, np.array([d]), n_terms)[0][0])
-        if b - a < 1e-12:
-            break
-    return (0.5 * (a + b), min(fc, fd))
-
-
 def find_regular_zeros(
     params: ModelParams,
     sector: ParitySector,
@@ -186,107 +188,298 @@ def find_regular_zeros(
 ) -> list[tuple[float, bool]]:
     """Regular-spectrum zeros of G in [e_min, e_max].
 
-    Returns (energy, resolved) pairs sorted by energy.  Bisected sign-change
-    zeros are resolved; grazing candidates (a local |G| minimum below
-    ``GRAZE_TOL`` without a sign change, typically an unresolved close pair
-    of zeros) are emitted with resolved = False rather than dropped.
+    Returns (energy, resolved) pairs sorted by energy.  ``grid`` (>= 16) is
+    a floor on the number of G samples, spread over the pole intervals by
+    width; every interval gets at least 16 Chebyshev nodes, and 16 per
+    ladder spacing of its width.  Refined sign-change zeros are resolved;
+    grazing candidates (a positive minimum of |G| below ``GRAZE_TOL`` that
+    no sign change splits down to the width ``_PAIR_RESOLUTION``) are
+    emitted with resolved = False rather than dropped.
     """
     return _find_zeros_batch([(params, sector, e_min, e_max, grid)], n_terms)[0]
 
 
-def _scan_zeros(params, sector, e_min, e_max, grid, n_terms):
-    """Sign-change brackets and grazing candidates of one zero search.
+def _pole_intervals(jobs):
+    """The pole intervals of every (params, sector, e_min, e_max, grid) job.
 
-    Returns (lo, hi, flo, bound, graze): bracket edges, G at the lower edge,
-    the smaller |G| of the two edges, and the refined grazing candidates.
+    Each window, widened by ``_MARGIN`` ladder spacings on both sides, is
+    cut at its singular energies, every interval ending ``POLE_PROBE`` short
+    of a pole.  Returns ``(owner, lo, hi, key, poles, nodes)`` per interval:
+    its job, its edges, its place on the ladder (2 * floor of the pole index
+    at its midpoint, plus 1 above the normalization pole), the singular
+    energies just below and above it (nan at a window edge) and its
+    Chebyshev node count: ``_NODES`` per ladder spacing of width, at least
+    ``_NODES``, and more where the job's ``grid``, spread over its intervals
+    by width, asks for more.
     """
-    if not e_min < e_max:
-        raise ValueError(f"e_min < e_max required (got {e_min}, {e_max})")
-    if grid < 16:
-        raise ValueError(f"grid >= 16 required (got {grid})")
-
-    sing = _singular_energies(params, sector, e_min - POLE_WINDOW, e_max + POLE_WINDOW)
-    base = np.linspace(e_min, e_max, grid)
-    keep = np.ones(base.size, dtype=bool)
-    for s in sing:
-        keep &= np.abs(base - s) >= POLE_WINDOW
-
-    extra = []
-    for s in sing:
-        for p in (s - POLE_WINDOW, s - POLE_PROBE, s + POLE_PROBE, s + POLE_WINDOW):
-            if e_min <= p <= e_max:
-                extra.append(p)
-    pts = np.unique(np.concatenate([base[keep], np.array(extra)])) if extra else base[keep]
-    if pts.size < 2:
-        return (np.empty(0),) * 4 + ([],)
-
-    values, _, _, dead = _g_table(params, sector, pts, n_terms)
-    alive = ~dead & np.isfinite(values)
-    pts = pts[alive]
-    values = values[alive]
-    if pts.size < 2:
-        return (np.empty(0),) * 4 + ([],)
-
-    # an interval is unusable if a singular energy lies strictly inside it
-    pos = np.searchsorted(sing, pts)
-    broken = pos[1:] != pos[:-1]
-    idx = np.flatnonzero((np.sign(values[1:]) * np.sign(values[:-1]) < 0) & ~broken)
-    bound = np.minimum(np.abs(values[idx]), np.abs(values[idx + 1]))
-
-    # grazing candidates on the uniform part of the grid: a kept point and
-    # both kept neighbours of one sign, with the smallest |G| of the three
-    bv = np.interp(base, pts, values)  # exact at kept base points, which are in pts
-    av, sv = np.abs(bv), np.sign(bv)
-    graze_at = np.flatnonzero(
-        keep[:-2] & keep[1:-1] & keep[2:] & (av[1:-1] < GRAZE_TOL)
-        & (av[1:-1] <= av[:-2]) & (av[1:-1] <= av[2:])
-        & (sv[:-2] == sv[1:-1]) & (sv[1:-1] == sv[2:])) + 1
-    refined = [_refine_min_abs(params, sector, base[i - 1], base[i + 1], n_terms) for i in graze_at]
-    graze = [(float(e_at), False) for e_at, f_at in refined if f_at < GRAZE_TOL]
-    return pts[idx], pts[idx + 1], values[idx], bound, graze
+    parts = []
+    for j, (params, sector, e_min, e_max, grid) in enumerate(jobs):
+        if not e_min < e_max:
+            raise ValueError(f"e_min < e_max required (got {e_min}, {e_max})")
+        if grid < _NODES:
+            raise ValueError(f"grid >= {_NODES} required (got {grid})")
+        spacing = 1.0 - params.gamma ** 2
+        e_lo, e_hi = e_min - _MARGIN * spacing, e_max + _MARGIN * spacing
+        sing = _singular_energies(params, sector, e_lo - POLE_PROBE, e_hi + POLE_PROBE)
+        lo = np.concatenate([[e_lo], sing + POLE_PROBE])
+        hi = np.concatenate([sing - POLE_PROBE, [e_hi]])
+        poles = np.stack([np.concatenate([[np.nan], sing]), np.concatenate([sing, [np.nan]])], axis=1)
+        keep = lo < hi
+        lo, hi, poles = lo[keep], hi[keep], poles[keep]
+        mid = 0.5 * (lo + hi)
+        key = (2 * np.floor(pole_index(params, sector, mid)).astype(int)
+               + (mid > normalization_pole_energy(params, sector)))
+        width = hi - lo
+        nodes = np.ceil(np.maximum(_NODES * np.maximum(1.0, width / spacing),
+                                   grid * width / width.sum())).astype(int)
+        parts.append((np.full(lo.size, j), lo, hi, key, poles, nodes))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS):
-    """find_regular_zeros for each (params, sector, e_min, e_max, grid) job.
+class _Brackets:
+    """Sign-change brackets under lockstep Illinois steps (Dowell & Jarratt 1971).
 
-    Each job is scanned on its own; then the brackets of all jobs are bisected
-    in lockstep, one kernel call per step on the brackets still moving.  A
-    job's brackets keep moving until all of that job's brackets are within
-    ``TOL_E``, so every job gets the roots it would get alone.
+    The steps run on (E - p_lo)(p_hi - E) G(E), with p_lo and p_hi the poles
+    at the edges of the bracket's interval (a window edge contributes no
+    factor): inside the interval it has the zeros and signs of G but no
+    poles, so a bracket next to a pole converges as fast as any other.
+    ``x`` holds each bracket's (lo, hi) and ``w`` that function there, the
+    value of an edge kept twice in a row halved; ``start`` holds the first
+    (lo, hi).  ``bound`` is the smaller |G| at the first edges: a zero
+    refines to below it, a pole's sign change would not.
     """
-    scans = [_scan_zeros(*job, n_terms) for job in jobs]
-    owner = np.repeat(np.arange(len(jobs)), [scan[0].size for scan in scans])
-    lo, hi, flo, bound = (np.concatenate([scan[k] for scan in scans]) for k in range(4))
+
+    def __init__(self, iv, x, f, poles):
+        self.iv, self.x, self.start, self.poles = iv, x, x.copy(), poles
+        self.w = f * self._pole_free(x)
+        self.bound = np.abs(f).min(axis=1, initial=np.inf)
+        self.last = np.zeros(iv.size, dtype=int)  # +1: lo moved on the last step, -1: hi did
+        self.steps = np.zeros(iv.size, dtype=int)
+
+    def _pole_free(self, x, act=slice(None)):
+        """The factor (E - p_lo)(p_hi - E) at each of the energies ``x`` (one row per bracket)."""
+        distance = np.abs(x[..., None] - self.poles[act, None, :])
+        return np.prod(np.where(np.isnan(distance), 1.0, distance), axis=-1)
+
+    def extend(self, other: "_Brackets") -> None:
+        for name in ("iv", "x", "start", "poles", "w", "bound", "last", "steps"):
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+
+    def moving(self) -> np.ndarray:
+        return np.flatnonzero((self.x[:, 1] - self.x[:, 0] > TOL_E) & (self.steps < _MAX_STEPS))
+
+    def points(self, act):
+        """The secant root through the weighted edges, or the midpoint where
+        that leaves the bracket or is not finite.  A secant root within
+        TOL_E / 2 of an edge moves to that distance (as in Brent's method), so
+        a bracket whose one edge has converged closes in one more step."""
+        (lo, hi), (wlo, whi) = self.x[act].T, self.w[act].T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = (lo * whi - hi * wlo) / (whi - wlo)
+        xn = np.where((xn > lo) & (xn < hi), xn, 0.5 * (lo + hi))
+        return np.clip(xn, lo + 0.5 * TOL_E, hi - 0.5 * TOL_E)
+
+    def update(self, act, xn, fn) -> None:
+        x, w, last = self.x[act], self.w[act], self.last[act]
+        fn = fn * self._pole_free(xn[:, None], act)[:, 0]
+        up = np.sign(fn) == np.sign(w[:, 0])  # the zero lies above xn, which replaces lo
+        # an edge kept for the second step in a row has its value halved
+        w[:, 1] = np.where(up & (last == 1), 0.5 * w[:, 1], w[:, 1])
+        w[:, 0] = np.where(~up & (last == -1), 0.5 * w[:, 0], w[:, 0])
+        rows, side = np.arange(act.size), np.where(up, 0, 1)
+        x[rows, side], w[rows, side] = xn, fn
+        x[fn == 0.0] = xn[fn == 0.0, None]  # an exact zero closes its bracket
+        self.x[act], self.w[act] = x, w
+        self.last[act] = np.where(up, 1, -1)
+        self.steps[act] += 1
+
+    def roots(self) -> np.ndarray:
+        return 0.5 * (self.x[:, 0] + self.x[:, 1])
+
+
+# states of a signed minimum
+_MOVING, _CERTIFIED, _FULL, _SPLIT = range(4)
+
+
+class _Minima:
+    """Local minima of s * G, s the sign of G around them, by lockstep multisection.
+
+    ``x`` holds each minimum's samples (a, m, b), with s * G at m no larger
+    than at a and b, and ``f`` holds s * G there.  A step samples ``_SIDE``
+    new points on each side of m and keeps the smallest sample with its
+    neighbours.  A minimum stops when a sample goes negative (two zeros,
+    ``_SPLIT``), when it is certified positive (``_CERTIFIED``: at or above
+    ``GRAZE_TOL``, with the parabola through its three samples keeping its
+    vertex above half of it) or at the full-depth width ``_PAIR_RESOLUTION``
+    (``_FULL``).  A ``deep`` minimum is never certified.
+    """
+
+    def __init__(self, iv, s, x, f):
+        self.iv, self.s, self.x, self.f = iv, s, x, f
+        self.deep = np.zeros(iv.size, dtype=bool)
+        self.state = np.where(self._certified(np.arange(iv.size)), _CERTIFIED, _MOVING)
+
+    def _certified(self, act):
+        (a, m, b), (fa, fm, fb) = self.x[act].T, self.f[act].T
+        with np.errstate(invalid="ignore"):
+            d1 = (fm - fa) / (m - a)
+            c2 = ((fb - fm) / (b - m) - d1) / (b - a)
+            slope = d1 + c2 * (m - a)  # the parabola's slope at m
+            return ~self.deep[act] & (fm >= GRAZE_TOL) & (slope * slope < 2.0 * c2 * fm)
+
+    def moving(self) -> np.ndarray:
+        return np.flatnonzero(self.state == _MOVING)
+
+    def deepen(self, idx) -> None:
+        self.deep[idx] = True
+        self.state[idx] = _MOVING
+
+    def points(self, act):
+        (a, m, b), frac = self.x[act].T, np.arange(1, _SIDE + 1) / (_SIDE + 1)
+        return np.concatenate([a[:, None] + (m - a)[:, None] * frac,
+                               m[:, None] + (b - m)[:, None] * frac], axis=1)
+
+    def update(self, act, xn, fn):
+        """One multisection step; returns ``(interval, x, G)`` of the brackets
+        of the minima that split."""
+        x, f = self.x[act], self.f[act]
+        fs = np.where(np.isnan(fn), np.inf, self.s[act, None] * fn)
+        X = np.concatenate([x[:, :1], xn[:, :_SIDE], x[:, 1:2], xn[:, _SIDE:], x[:, 2:]], axis=1)
+        F = np.concatenate([f[:, :1], fs[:, :_SIDE], f[:, 1:2], fs[:, _SIDE:], f[:, 2:]], axis=1)
+        rows = np.arange(act.size)[:, None]
+        k = 1 + np.argmin(F[:, 1:-1], axis=1)[:, None]
+        self.x[act], self.f[act] = X[rows, k + [-1, 0, 1]], F[rows, k + [-1, 0, 1]]
+        split = F[rows, k][:, 0] < 0.0
+        full = self.x[act, 2] - self.x[act, 0] <= _PAIR_RESOLUTION
+        self.state[act] = np.where(split, _SPLIT, np.where(
+            full, _FULL, np.where(self._certified(act), _CERTIFIED, _MOVING)))
+        # each bracket ends at the nearest sample of sign s on its side, not
+        # at the smallest sample's neighbours, which may be negative too
+        idx = np.arange(X.shape[1])
+        left = np.where((F >= 0.0) & (idx < k), idx, -1).max(axis=1)[split]
+        right = np.where((F >= 0.0) & (idx > k), idx, X.shape[1]).min(axis=1)[split]
+        r, s = rows[split, 0], self.s[act[split], None]
+        edges = [np.stack([left, left + 1], axis=1), np.stack([right - 1, right], axis=1)]
+        return (np.tile(self.iv[act[split]], 2), np.concatenate([X[r[:, None], e] for e in edges]),
+                np.concatenate([s * F[r[:, None], e] for e in edges]))
+
+    def grazing(self) -> np.ndarray:
+        """Minima that stayed positive, yet below ``GRAZE_TOL``, at full depth."""
+        return np.flatnonzero((self.state == _FULL) & (self.f[:, 1] < GRAZE_TOL))
+
+
+def _find_zeros_batch(jobs, n_terms=DEFAULT_N_TERMS, lifts=None):
+    """find_regular_zeros for each (params, sector, e_min, e_max, grid) job (see _search)."""
+    owner, brackets, found, minima = _search(jobs, n_terms, lifts)
+    graze = minima.grazing()
+    out: list[list[tuple[float, bool]]] = [[] for _ in jobs]
+    for iv, energies, ok in ((brackets.iv[found], brackets.roots()[found], True),
+                             (minima.iv[graze], minima.x[graze, 1], False)):
+        for j, e in zip(owner[iv].tolist(), energies.tolist()):
+            if jobs[j][2] <= e <= jobs[j][3]:  # not in the margins
+                out[j].append((e, ok))
+    return [sorted(zeros) for zeros in out]
+
+
+def _search(jobs, n_terms, lifts=None):
+    """The zero search of a batch of (params, sector, e_min, e_max, grid) jobs.
+
+    Returns ``(owner, brackets, found, minima)``: the job of each pole
+    interval, the refined _Brackets, which of their roots pass the pole
+    check, and the _Minima.
+
+    Every pole interval of every job is sampled in one batched evaluation,
+    at its two ends and its Chebyshev nodes.  A sign change between neighbouring
+    samples is a bracket; every other local minimum of |G| is searched for a
+    hidden pair of zeros (see _Minima).  Minima and brackets then
+    move in lockstep, one batched evaluation per step over all of them that
+    still move, and each stops on its own state: a bracket once it is within
+    ``TOL_E``.
+
+    Once no minimum moves, each interval with poles at both edges has its
+    zero count compared with the same interval (same ladder key) of the
+    previous job of the same sector and couplings.  Where the two differ and
+    no lift explains it (``lifts`` holds each job's degenerate energies, and
+    a lift on one of the interval's poles does), both intervals' certified
+    minima move on to full depth.  That check is the only way the other jobs
+    of a batch can change a job's zeros.
+    """
+    owner, lo, hi, key, poles, nodes = _pole_intervals(jobs)
     point = np.array([(*sector_couplings(params, sector), params.g, params.w)
-                      for params, sector, *_ in jobs])[owner].T
-    for _ in range(200):
-        act = np.flatnonzero(np.isin(owner, owner[hi - lo > TOL_E]))
-        if not act.size:
+                      for params, sector, *_ in jobs]).T
+
+    def kernel(interval, energies):
+        # in slices: a large batch never holds the per-point couplings and
+        # kernel terms of more than one slice at a time
+        return np.concatenate([
+            _g_kernel(*point[:, owner[interval[i:i + _SLICE]]], energies[i:i + _SLICE], n_terms)[0]
+            for i in range(0, max(1, energies.size), _SLICE)])
+
+    # the two ends and the Chebyshev nodes of every interval, ascending
+    size = nodes + 2
+    first = np.cumsum(size) - size
+    iv = np.repeat(np.arange(lo.size), size)
+    at = np.arange(iv.size) - first[iv]
+    half = 0.5 * (hi - lo)[iv]
+    node = lo[iv] + half * (1.0 - np.cos((2 * at - 1) * np.pi / (2 * nodes[iv])))
+    x = np.where(at == 0, lo[iv], np.where(at == size[iv] - 1, hi[iv], node))
+    f = kernel(iv, x)
+
+    flip = np.flatnonzero((iv[1:] == iv[:-1]) & (np.sign(f[1:]) * np.sign(f[:-1]) < 0.0))
+    brackets = _Brackets(iv[flip], np.stack([x[flip], x[flip + 1]], axis=1),
+                         np.stack([f[flip], f[flip + 1]], axis=1), poles[iv[flip]])
+
+    # every sample whose |G| is a local minimum between neighbours of its own
+    # sign may hide a pair of zeros; an interval's end has no outer neighbour
+    # (there, the minimum is a pole's)
+    i = np.flatnonzero((at > 0) & (at < size[iv] - 1))
+    i = i[(np.sign(f[i - 1]) == np.sign(f[i])) & (np.sign(f[i + 1]) == np.sign(f[i]))
+          & (np.abs(f[i]) < np.abs(f[i - 1])) & (np.abs(f[i]) <= np.abs(f[i + 1]))]
+    s = np.sign(f[i])
+    minima = _Minima(iv[i], s, np.stack([x[i - 1], x[i], x[i + 1]], axis=1),
+                     s[:, None] * np.stack([f[i - 1], f[i], f[i + 1]], axis=1))
+
+    rechecked = False
+    while True:
+        if not rechecked and not minima.moving().size:
+            rechecked = True
+            minima.deepen(_recount(jobs, owner, key, ~np.isnan(poles).any(axis=1),
+                                   brackets.iv, minima, lifts))
+        am, ab = minima.moving(), brackets.moving()
+        if not am.size and not ab.size:
             break
-        mid = 0.5 * (lo[act] + hi[act])
-        fm = _g_kernel(*(c[act] for c in point), mid, n_terms)[0]
-        # nan cannot occur: brackets never contain a singular energy
-        same = np.sign(fm) == np.sign(flo[act])
-        lo[act] = np.where(same, mid, lo[act])
-        flo[act] = np.where(same, fm, flo[act])
-        hi[act] = np.where(same, hi[act], mid)
-    roots = 0.5 * (lo + hi)
-    at_root = _g_kernel(*point, roots, n_terms)[0]
-    # a pole masquerading as a sign change explodes instead of collapsing
-    found = np.isfinite(at_root) & (np.abs(at_root) < bound)
-    near = max(4.0 * TOL_E, 1e-13)
-    out = []
-    for j, ((_, _, e_min, e_max, grid), scan) in enumerate(zip(jobs, scans)):
-        spacing = (e_max - e_min) / (grid - 1)
-        merged: list[tuple[float, bool]] = []
-        for e, res in sorted([(float(r), True) for r in roots[(owner == j) & found]] + scan[4]):
-            if merged and abs(e - merged[-1][0]) < max(near, 2.5 * spacing if not (res and merged[-1][1]) else near):
-                if res and not merged[-1][1]:
-                    merged[-1] = (e, res)
-                continue
-            merged.append((e, res))
-        out.append(merged)
-    return out
+        xm, xb = minima.points(am), brackets.points(ab)
+        fx = kernel(np.concatenate([np.repeat(minima.iv[am], 2 * _SIDE), brackets.iv[ab]]),
+                    np.concatenate([xm.ravel(), xb]))
+        brackets.update(ab, xb, fx[xm.size:])
+        split_iv, split_x, split_f = minima.update(am, xm, fx[:xm.size].reshape(xm.shape))
+        brackets.extend(_Brackets(split_iv, split_x, split_f, poles[split_iv]))
+
+    at_root = kernel(brackets.iv, brackets.roots())
+    # nan cannot occur: brackets never contain a singular energy; a pole
+    # masquerading as a sign change would explode instead of collapsing
+    return owner, brackets, np.isfinite(at_root) & (np.abs(at_root) < brackets.bound), minima
+
+
+def _recount(jobs, owner, key, inner, bracket_iv, minima, lifts):
+    """Certified minima whose interval's zero count changed from the previous
+    job of the same sector and couplings, with no lift to explain it."""
+    counts = np.bincount(bracket_iv, minlength=owner.size)
+    previous, last = [], {}
+    for j, (params, sector, *_) in enumerate(jobs):
+        previous.append(last.get((sector, params.delta, params.gamma), -1))
+        last[(sector, params.delta, params.gamma)] = j
+    # a lift on rung n explains the intervals on both sides of it
+    explained = {(j, n + side) for j, energies in enumerate(lifts or ()) for e in energies
+                 for n in [round(pole_index(*jobs[j][:2], e))] for side in (-1, 0)}
+    where = {(j, k): v for v, j, k in zip(np.flatnonzero(inner).tolist(), owner[inner].tolist(),
+                                          key[inner].tolist())}
+    changed = np.zeros(owner.size, dtype=bool)
+    for (j, k), v in where.items():
+        u = where.get((previous[j], k))
+        if u is not None and counts[u] != counts[v] and not {(j, k // 2), (previous[j], k // 2)} & explained:
+            changed[[u, v]] = True
+    return np.flatnonzero((minima.state == _CERTIFIED) & changed[minima.iv])
 
 
 def _rung_vectors(delta_s, gamma_s, g, w, n):
@@ -413,12 +606,13 @@ def find_degenerate_g(
 
 
 def _scan_spacing(gamma: float) -> float:
-    """Energy-scan step fine enough to separate same-parity level pairs."""
+    """Sample spacing fine enough to separate same-parity level pairs on a
+    uniform grid; callers that want a dense ``grid`` floor derive it from this."""
     return min(2e-3, (1.0 - abs(gamma)) / 8.0)
 
 
 def _column_window(delta: float, gamma: float, g: float, level_count: int):
-    """Initial energy window and scan density for one sweep column.
+    """Initial energy window and a dense sample spacing for one sweep column.
 
     The lower edge is a variational bound on the ground state,
     E0 >= -g^2/(1 - |gamma|) - delta; the upper edge starts from the free
@@ -431,14 +625,14 @@ def _column_window(delta: float, gamma: float, g: float, level_count: int):
     return params, e_lo, e_hi, _scan_spacing(gamma)
 
 
-def _add_degenerate(windows, columns) -> None:
-    """Fill parity-crossing punctures with each window's degenerate ladder energies.
+def _lift_energies(windows) -> list[list[float]]:
+    """Degenerate ladder energies (parity-crossing points) of each window.
 
-    ``windows`` holds one (params, e_lo, e_hi) per entry list in ``columns``;
-    every rung of every window is classified in one kernel call.  At
-    delta = gamma = 0 every level n - g^2 is a degenerate pair, n = 0
-    included; rung 0 is the normalization pole, which the kernel cannot
-    reach, so it is filled directly.
+    ``windows`` holds (params, e_lo, e_hi) triples; every rung of every
+    window is classified in one kernel call.  At delta = gamma = 0 every
+    level n - g^2 is a degenerate pair, n = 0 included; rung 0 is the
+    normalization pole, which the kernel cannot reach, so it is added
+    directly.
     """
     rungs = [np.arange(1, max(0, int(np.floor(pole_index(params, ParitySector.PLUS, e_hi)))) + 1)
              for params, _, e_hi in windows]
@@ -447,15 +641,13 @@ def _add_degenerate(windows, columns) -> None:
                       for params, e_lo, e_hi in windows])[owner].T
     energy, r = _rung_vectors(*point[:4], np.concatenate(rungs))
     degenerate = np.abs(r).max(axis=0) <= TOL_V
-    found = [(owner[i], float(energy[i]))
-             for i in np.flatnonzero(degenerate & (energy >= point[4]) & (energy <= point[5]))]
-    found += [(j, -params.g * params.g) for j, (params, _, _) in enumerate(windows)
-              if params.delta == 0.0 and params.gamma == 0.0]
-    for j, e in found:
-        entries = columns[j]
-        for parity in (1, -1):
-            if not any(entry.parity == parity and abs(entry.energy - e) < 1e-7 for entry in entries):
-                entries.append(LevelEntry(e, parity, True))
+    lifts: list[list[float]] = [[] for _ in windows]
+    for i in np.flatnonzero(degenerate & (energy >= point[4]) & (energy <= point[5])):
+        lifts[owner[i]].append(float(energy[i]))
+    for j, (params, _, _) in enumerate(windows):
+        if params.delta == 0.0 and params.gamma == 0.0:
+            lifts[j].append(-params.g * params.g)
+    return lifts
 
 
 def _solve_columns(delta: float, gamma: float, g_grid, level_count: int, n_terms: int):
@@ -474,25 +666,28 @@ def _solve_columns(delta: float, gamma: float, g_grid, level_count: int, n_terms
     # column index -> (params, e_lo, e_hi) of the series columns still to solve
     short = {j: _column_window(delta, gamma, float(g), level_count)[:3]
              for j, g in enumerate(g_grid) if g >= SERIES_MIN_G}
-    spacing = _scan_spacing(gamma)
     sectors = (ParitySector.PLUS, ParitySector.MINUS)
     for _ in range(8):
         if not short:
             break
+        lifts = _lift_energies(list(short.values()))
         zeros = iter(_find_zeros_batch(
-            [(params, sector, e_lo, e_hi, max(64, int((e_hi - e_lo) / spacing) + 2))
-             for params, e_lo, e_hi in short.values() for sector in sectors],
-            n_terms))
-        solved = {j: [LevelEntry(e, sector.sign, res) for sector in sectors for e, res in next(zeros)]
-                  for j in short}
-        _add_degenerate(list(short.values()), list(solved.values()))
-        for j, entries in solved.items():
+            [(params, sector, e_lo, e_hi, _NODES) for params, e_lo, e_hi in short.values()
+             for sector in sectors],
+            n_terms, [energies for energies in lifts for _ in sectors]))
+        for (j, (params, e_lo, e_hi)), energies in zip(list(short.items()), lifts):
+            entries = [LevelEntry(e, sector.sign, res) for sector in sectors for e, res in next(zeros)]
+            # a level on a pole is no zero of G: fill parity-crossing punctures
+            for e in energies:
+                for parity in (1, -1):
+                    if not any(entry.parity == parity and abs(entry.energy - e) < 1e-7
+                               for entry in entries):
+                        entries.append(LevelEntry(e, parity, True))
             entries.sort(key=lambda item: (item.energy, -item.parity))
             columns[j] = entries[:level_count]
             if len(entries) >= level_count:
                 del short[j]
             else:
-                params, e_lo, e_hi = short[j]
                 short[j] = (params, e_lo, e_hi + 1.5)
     return columns
 
@@ -525,7 +720,7 @@ def spectrum_sweep(
     return SpectrumTable(
         delta=delta, gamma=gamma, g_grid=g_grid,
         columns=_solve_columns(delta, gamma, g_grid, level_count, n_terms),
-        requested_count=level_count, energy_resolution=_scan_spacing(gamma),
+        requested_count=level_count, energy_resolution=_PAIR_RESOLUTION,
     )
 
 
@@ -546,7 +741,7 @@ def _check_tracking(table: SpectrumTable, energies: np.ndarray) -> None:
 
     Same-parity levels never cross in this model, so sorted order is a valid
     continuation as long as adjacent levels stay distinguishable; once two of
-    them approach within half the table's scan resolution the column cannot
+    them approach within half the table's energy resolution the column cannot
     tell them apart and tracking refuses to guess.
     """
     if energies.shape[1] < 2 or table.energy_resolution <= 0.0:
@@ -558,7 +753,7 @@ def _check_tracking(table: SpectrumTable, energies: np.ndarray) -> None:
         raise TrackingAmbiguity(
             float(table.g_grid[j]),
             f"levels {k} and {k + 1} are {gaps[j, k]:.3g} apart, below half "
-            f"the scan resolution {table.energy_resolution:.3g}",
+            f"the energy resolution {table.energy_resolution:.3g}",
         )
 
 
@@ -574,7 +769,7 @@ def detect_crossings(table: SpectrumTable, gap_threshold: float) -> list[Crossin
 
     Raises:
         TrackingAmbiguity: when two same-parity levels approach within half
-            the table's scan resolution, where sorted-order continuation can
+            the table's energy resolution, where sorted-order continuation can
             no longer tell them apart.
     """
     g = np.asarray(table.g_grid, dtype=float)

@@ -13,6 +13,7 @@ from starkspec.model import (
     g0_levels,
     normalization_pole_energy,
     pole_energies,
+    pole_index,
     sector_couplings,
     validate_params,
 )
@@ -26,7 +27,7 @@ from starkspec.solver import (
     TrackingAmbiguity,
     _column_window,
     _find_zeros_batch,
-    _scan_zeros,
+    _search,
     classify_exceptional,
     detect_crossings,
     find_degenerate_g,
@@ -182,35 +183,73 @@ class TestZeroBatch:
         jobs = [
             (hug, PLUS, e_pole - 0.05, e_pole + 0.05, 200),  # pole-adjacent brackets
             (hug, MINUS, e_pole - 0.05, e_pole + 0.05, 200),
-            (validate_params(0.4, 0.5, 0.4), MINUS, -0.8, 1.1, 16),  # coarse grid
+            (validate_params(0.4, 0.5, 0.4), MINUS, -0.8, 1.1, 16),  # sample floor
             (validate_params(0.4, 0.0, 1.2), PLUS, -2.5, 4.0, 4000),
             (validate_params(0.4, 0.5, 0.4), PLUS, 0.9, 1.2, 400),  # no zero
-            (validate_params(0.4, 0.463085, 0.089441), PLUS, 3.2, 3.5, 150),  # grazing pair
+            (validate_params(0.4, 0.463085, 0.089441), PLUS, 3.2, 3.5, 150),  # close pair
         ]
-        widths = np.concatenate([hi - lo for lo, hi, *_ in
-                                 (_scan_zeros(*job, 32) for job in jobs)])
+        brackets = _search(jobs, 32)[1]
+        widths = brackets.start[:, 1] - brackets.start[:, 0]
         assert widths.max() / widths.min() > 1e3
         batch = _find_zeros_batch(jobs, n_terms=32)
         assert batch == [find_regular_zeros(*job, n_terms=32) for job in jobs]
-        assert not batch[4] and any(not ok for _, ok in batch[5])
+        assert not batch[4]
+        assert [ok for _, ok in batch[5]] == [True, True]
 
-
-    def test_brackets_of_one_search_stop_together(self):
-        # reference loop: a search's brackets all keep halving until every
-        # one of them is within tol_e, so the narrow ones end narrower
+    def test_each_root_within_tol_of_tight_bisection(self):
+        # every bracket stops on its own width; each root must sit within
+        # TOL_E of its bracket's zero, bisected far below TOL_E
         hug = validate_params(0.4, 0.5, G_LIFT_N1 + 2e-5)
         e_pole = pole_energies(hug, PLUS, 1)[0][1]
         job = (hug, MINUS, e_pole - 1.0, e_pole + 2.5, 3000)
-        lo, hi, flo, bound, _ = _scan_zeros(*job, 32)
+        _, brackets, found, _ = _search([job], 32)
+        roots = brackets.roots()
+        lo, hi = brackets.start[found & (roots >= job[2]) & (roots <= job[3])].T.copy()
         assert (hi - lo).max() / (hi - lo).min() > 4
-        while np.any(hi - lo > TOL_E):
+        flo = _g_table(hug, MINUS, lo, 32)[0]
+        for _ in range(60):
             mid = 0.5 * (lo + hi)
             fm = _g_table(hug, MINUS, mid, 32)[0]
             same = np.sign(fm) == np.sign(flo)
             lo, flo, hi = np.where(same, mid, lo), np.where(same, fm, flo), np.where(same, hi, mid)
-        roots = 0.5 * (lo + hi)
-        roots = roots[np.abs(_g_table(hug, MINUS, roots, 32)[0]) < bound]
-        assert find_regular_zeros(*job, n_terms=32) == [(float(r), True) for r in roots]
+        zeros = find_regular_zeros(*job, n_terms=32)
+        assert all(ok for _, ok in zeros)
+        assert np.abs(np.array([e for e, _ in zeros]) - np.sort(0.5 * (lo + hi))).max() <= TOL_E
+
+    def test_close_pair_resolved(self):
+        # two PLUS levels 8.4e-4 apart, closer than the old 2e-3 scan grid
+        table = spectrum_sweep(0.4, 0.463085, 0.089441, 0.099441, 2, 14)
+        pair = [entry for entry in table.columns[0] if entry.parity == 1 and 3.3 < entry.energy < 3.4]
+        spectrum = oracle_levels(0.4, 0.463085, 0.089441, 20)
+        want = [e for e, pr in zip(spectrum.energies, spectrum.parities) if pr == 1 and 3.3 < e < 3.4]
+        assert want == pytest.approx([3.341526, 3.342367], abs=1e-6)
+        assert all(entry.resolved for entry in pair)
+        assert [entry.energy for entry in pair] == pytest.approx(want, abs=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=st.builds(validate_params, st.floats(0.0, 2.0), st.floats(-0.95, 0.95),
+                            st.floats(1e-3, 1.6)),
+           sector=st.sampled_from([PLUS, MINUS]), n_terms=st.sampled_from([12, 24]))
+    def test_matches_dense_reference_scan(self, params, sector, n_terms):
+        # reference: G on a 1e-4 grid, 1e-6 windows around singular energies
+        # cut out, with the same truncation on both sides
+        _, e_lo, e_hi, _ = _column_window(params.delta, params.gamma, params.g, 8)
+        xs = np.arange(e_lo, e_hi, 1e-4)
+        rungs = int(pole_index(params, sector, e_hi)) + 1
+        sing = np.sort([e for _, e in pole_energies(params, sector, rungs)]
+                       + [normalization_pole_energy(params, sector)])
+        for e in sing:
+            xs = xs[np.abs(xs - e) > 1e-6]
+        values = _g_table(params, sector, xs, n_terms)[0]
+        pole_between = np.searchsorted(sing, xs[1:]) != np.searchsorted(sing, xs[:-1])
+        flips = np.flatnonzero((values[1:] * values[:-1] < 0.0) & ~pole_between)
+        zeros = find_regular_zeros(params, sector, e_lo, xs[-1], 16, n_terms)
+        resolved = np.array([e for e, ok in zeros if ok])
+        for i in flips:
+            assert np.any(np.abs(resolved - 0.5 * (xs[i] + xs[i + 1])) <= 0.5e-4 + TOL_E), xs[i]
+        if resolved.size:
+            left, right = (_g_table(params, sector, resolved + d, n_terms)[0] for d in (-1e-9, 1e-9))
+            assert np.all(left * right < 0.0)
 
 
 class TestClassifyExceptional:
