@@ -21,6 +21,7 @@ crossings, avoided crossings and near-degeneracy onsets are detected.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -620,9 +621,15 @@ def _column_window(delta: float, gamma: float, g: float, level_count: int):
     """
     params = validate_params(delta, gamma, g)
     e_lo = -g * g / (1.0 - abs(gamma)) - delta - 0.5
-    cap = g0_levels(params, level_count)[-1].energy
-    e_hi = cap + 1.0 + 0.5 * g
+    e_hi = _free_cap(params.delta, params.gamma, level_count) + 1.0 + 0.5 * g
     return params, e_lo, e_hi, _scan_spacing(gamma)
+
+
+@functools.lru_cache
+def _free_cap(delta: float, gamma: float, level_count: int) -> float:
+    """The highest of the ``level_count`` lowest free (g = 0) levels; it does
+    not depend on g, so a sweep computes it once."""
+    return g0_levels(validate_params(delta, gamma, 0.0), level_count)[-1].energy
 
 
 def _lift_energies(windows) -> list[list[float]]:
